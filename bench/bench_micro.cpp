@@ -307,10 +307,8 @@ struct BenchRow {
   double records_per_s = 0.0;
   bool tuned = false;
   stream::TunerState tuner;  ///< source-edge controller state (if tuned)
-  bool capacity_tuned = false;
-  stream::CapacityState capacity;  ///< source-edge elastic bound (if tuned)
   double p99_ms = -1.0;      ///< p99 staging latency (latency rows only)
-  int64_t budget_ms = -1;    ///< latency-budget contract (latency rows only)
+  int64_t linger_ms = -1;    ///< edge max_linger_ms (latency rows only)
   int hw_threads = 0;        ///< hardware threads (hw-gated rows only)
   bool has_skew = false;     ///< worker-edge skew summary attached
   stream::WorkerEdgeSkew skew;  ///< keyed-stage partition-edge summary
@@ -432,76 +430,13 @@ PipelineResult MeasurePipelinePolicy(const stream::BatchPolicy& policy,
   return result;
 }
 
-// ==== Elastic capacity comparison (PR 5 acceptance rows) ====
-//
-// source -> map -> bursty sink: the sink stalls for `stall_us` every
-// `stall_every` records, so the edge sees alternating saturation (during
-// a stall the queue fills and the producer blocks) and drain phases. A
-// deep queue rides the bursts out; a shallow one serializes the pipeline
-// on every stall. Static capacities {64, 1024, 8192} are swept against
-// CapacityPolicy::Adaptive(64, 8192) seeded at 64 — the controller must
-// reach >= 0.85x the best static row without hand-picking the bound
-// (gated by tools/bench_check.py).
-struct CapacityResult {
-  double records_per_s = 0.0;
-  bool capacity_tuned = false;
-  stream::CapacityState capacity;
-};
-
-CapacityResult MeasureCapacityPipeline(size_t capacity,
-                                       const stream::CapacityPolicy& tuning,
-                                       int count, int stall_every,
-                                       int stall_us) {
-  stream::Pipeline pipeline;
-  int next = 0;
-  long long checksum = 0;
-  int sunk = 0;
-  stream::BatchPolicy policy = stream::BatchPolicy::Batched(64, 1);
-  policy.tune_every_records = 1024;  // capacity window cadence
-  auto source = stream::Flow<int>::FromGenerator(
-      &pipeline,
-      [&next, count]() -> std::optional<int> {
-        if (next >= count) return std::nullopt;
-        return next++;
-      },
-      {.name = "source",
-       .capacity = capacity,
-       .batch = policy,
-       .capacity_tuning = tuning});
-  auto source_tuner = source.tuner();
-  source.Map<int>([](const int& x) { return x * 3; },
-                  {.name = "map_x3", .capacity = capacity,
-                   .capacity_tuning = tuning})
-      .Sink([&checksum, &sunk, stall_every, stall_us](const int& x) {
-        checksum += x;
-        if (++sunk % stall_every == 0) {
-          std::this_thread::sleep_for(std::chrono::microseconds(stall_us));
-        }
-      });
-  const auto t0 = std::chrono::steady_clock::now();
-  pipeline.Run();
-  const double seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  benchmark::DoNotOptimize(checksum);
-  CapacityResult result;
-  result.records_per_s = static_cast<double>(count) / seconds;
-  if (source_tuner && source_tuner->capacity_tuner()) {
-    result.capacity_tuned = true;
-    result.capacity = source_tuner->capacity_tuner()->Snapshot();
-  }
-  return result;
-}
-
-// ==== Latency-budget staging latency (PR 5 acceptance rows) ====
+// ==== Linger staging latency ====
 //
 // A trickling source (one record every `gap_us`) into a large-batch edge:
 // batches never fill naturally, so staging latency is whatever the linger
 // policy allows. Each element carries its creation time; the sink records
-// the staging+transit delay. With only the classic linger knob the p99
-// tracks max_linger_ms; with a latency budget the effective linger
-// shrinks by the predicted fill time, so the p99 must stay under the
-// budget (gated by tools/bench_check.py).
+// the staging+transit delay, whose p99 tracks max_linger_ms (gated by
+// tools/bench_check.py).
 double MeasureStagingLatencyP99(const stream::BatchPolicy& policy, int count,
                                 int gap_us) {
   using Clock = std::chrono::steady_clock;
@@ -768,102 +703,34 @@ void RunBatchedTransportComparison(bool smoke) {
     }
   }
 
-  // ---- elastic capacity sweep: static {64, 1024, 8192} vs adaptive ----
-  {
-    const int count = smoke ? 100000 : 400000;
-    const int stall_every = 4096;
-    const int stall_us = 1500;  // ~1.5ms burst stall at the sink
-    std::printf(
-        "\n=== elastic capacity: source->map->bursty sink, %d records, "
-        "sink stalls %dus every %d ===\n",
-        count, stall_us, stall_every);
-    std::printf("%-28s %14s  %s\n", "row", "records/s", "capacity");
-    struct CapMode {
-      const char* name;
-      size_t capacity;
-      stream::CapacityPolicy tuning;  // inert for the static rows
-    };
-    const CapMode kCapModes[] = {
-        {"pipeline_capacity/static64", 64, {}},
-        {"pipeline_capacity/static1024", 1024, {}},
-        {"pipeline_capacity/static8192", 8192, {}},
-        // Seeded at the *worst* static bound: the controller has to find
-        // its own way up.
-        {"pipeline_capacity/adaptive", 64,
-         stream::CapacityPolicy::Adaptive(64, 8192)},
-    };
-    for (const CapMode& mode : kCapModes) {
-      CapacityResult best;
-      for (int rep = 0; rep < kReps; ++rep) {
-        CapacityResult r = MeasureCapacityPipeline(
-            mode.capacity, mode.tuning, count, stall_every, stall_us);
-        if (r.records_per_s > best.records_per_s) best = r;
-      }
-      BenchRow row;
-      row.name = mode.name;
-      row.records = static_cast<size_t>(count);
-      row.records_per_s = best.records_per_s;
-      row.capacity_tuned = best.capacity_tuned;
-      row.capacity = best.capacity;
-      rows.push_back(row);
-      if (best.capacity_tuned) {
-        std::printf(
-            "%-28s %14.0f  bound=%zu range=[%zu,%zu] up=%llu down=%llu "
-            "converged=%zu\n",
-            mode.name, best.records_per_s, best.capacity.capacity,
-            best.capacity.min_capacity, best.capacity.max_capacity,
-            static_cast<unsigned long long>(best.capacity.resize_up),
-            static_cast<unsigned long long>(best.capacity.resize_down),
-            best.capacity.converged);
-      } else {
-        std::printf("%-28s %14.0f  bound=%zu (static)\n", mode.name,
-                    best.records_per_s, mode.capacity);
-      }
-    }
-  }
-
-  // ---- latency-budget linger: staging-latency p99 under a trickle ----
+  // ---- linger: staging-latency p99 under a trickle ----
   {
     const int count = smoke ? 400 : 1500;
     const int gap_us = 200;  // ~5k records/s: batches never fill
     std::printf(
-        "\n=== latency-budget linger: trickling source (1 rec/%dus), "
-        "%d records, batch 4096 ===\n",
+        "\n=== linger: trickling source (1 rec/%dus), %d records, "
+        "batch 4096 ===\n",
         gap_us, count);
-    std::printf("%-28s %10s %10s\n", "row", "p99 ms", "budget");
-    struct LatMode {
-      const char* name;
-      stream::BatchPolicy policy;
-      int64_t budget_ms;  // -1 = no contract
-    };
-    // linger 200ms vs the same policy under a 50ms staging contract: the
-    // budget must tighten the p99 below itself, an order of magnitude
-    // under the raw linger row.
-    const LatMode kLatModes[] = {
-        {"pipeline_latency/linger200",
-         stream::BatchPolicy::Batched(4096, 200), -1},
-        {"pipeline_latency/budget50",
-         stream::BatchPolicy::Batched(4096, 200).WithLatencyBudget(50), 50},
-    };
-    for (const LatMode& mode : kLatModes) {
+    std::printf("%-28s %10s %10s\n", "row", "p99 ms", "linger");
+    // Linger 200ms vs 50ms: the p99 staging delay must follow the linger
+    // bound, an order of magnitude apart.
+    for (const int64_t linger_ms : {int64_t{200}, int64_t{50}}) {
+      const stream::BatchPolicy policy =
+          stream::BatchPolicy::Batched(4096, linger_ms);
       double best = -1.0;
       for (int rep = 0; rep < kReps; ++rep) {
-        const double p99 = MeasureStagingLatencyP99(mode.policy, count, gap_us);
+        const double p99 = MeasureStagingLatencyP99(policy, count, gap_us);
         if (best < 0.0 || p99 < best) best = p99;
       }
       BenchRow row;
-      row.name = mode.name;
+      row.name = "pipeline_latency/linger" + std::to_string(linger_ms);
       row.records = static_cast<size_t>(count);
       row.records_per_s = 0.0;  // latency row: rate is not the point
       row.p99_ms = best;
-      row.budget_ms = mode.budget_ms;
+      row.linger_ms = linger_ms;
       rows.push_back(row);
-      if (mode.budget_ms >= 0) {
-        std::printf("%-28s %10.2f %8lldms\n", mode.name, best,
-                    static_cast<long long>(mode.budget_ms));
-      } else {
-        std::printf("%-28s %10.2f %10s\n", mode.name, best, "-");
-      }
+      std::printf("%-28s %10.2f %8lldms\n", row.name.c_str(), best,
+                  static_cast<long long>(linger_ms));
     }
   }
 
@@ -944,22 +811,10 @@ void RunBatchedTransportComparison(bool smoke) {
                      static_cast<unsigned long long>(t.adjust_down),
                      t.converged_batch);
       }
-      if (rows[i].capacity_tuned) {
-        const stream::CapacityState& c = rows[i].capacity;
-        std::fprintf(f,
-                     ", \"capacity\": %zu, \"capacity_min\": %zu, "
-                     "\"capacity_max\": %zu, \"capacity_resize_up\": %llu, "
-                     "\"capacity_resize_down\": %llu, "
-                     "\"capacity_converged\": %zu",
-                     c.capacity, c.min_capacity, c.max_capacity,
-                     static_cast<unsigned long long>(c.resize_up),
-                     static_cast<unsigned long long>(c.resize_down),
-                     c.converged);
-      }
       if (rows[i].p99_ms >= 0.0) {
-        std::fprintf(f, ", \"p99_ms\": %.3f, \"budget_ms\": %lld",
+        std::fprintf(f, ", \"p99_ms\": %.3f, \"linger_ms\": %lld",
                      rows[i].p99_ms,
-                     static_cast<long long>(rows[i].budget_ms));
+                     static_cast<long long>(rows[i].linger_ms));
       }
       if (rows[i].hw_threads > 0) {
         std::fprintf(f, ", \"hw_threads\": %d", rows[i].hw_threads);

@@ -26,9 +26,7 @@ namespace tcmf::insitu {
 /// `stage.batch` to the adaptive batched transport (its output edge gets
 /// a private BatchTuner; observation-equivalent to record-at-a-time —
 /// pass `.batch = BatchPolicy::Batched(n)` to pin a static size or
-/// `BatchPolicy::Single()` to opt out; `.capacity_tuning =
-/// CapacityPolicy::Adaptive()` additionally makes the channel bound
-/// elastic; see docs/STREAM_TUNING.md).
+/// `BatchPolicy::Single()` to opt out; see docs/STREAM_TUNING.md).
 inline stream::Flow<Position> CleaningStage(
     stream::Flow<Position> flow, const StreamCleaner::Options& options,
     stream::StageOptions stage = {},

@@ -11,7 +11,7 @@
 namespace tcmf::stream {
 
 /// Minimal JSON string escape (quotes, backslashes, control bytes) for
-/// the error messages embedded in StageMetrics::ToJson().
+/// the stage names and error messages embedded in StageMetrics::ToJson().
 inline std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -47,7 +47,7 @@ struct StageMetrics {
   uint64_t batches_in = 0;             ///< push transfers (Push counts as 1)
   uint64_t batches_out = 0;            ///< pop transfers (Pop counts as 1)
   uint64_t queue_high_watermark = 0;   ///< max queue depth ever observed
-  uint64_t capacity = 0;               ///< current queue-depth bound (elastic)
+  uint64_t capacity = 0;               ///< queue-depth bound
   uint64_t producer_blocked_ns = 0;    ///< total ns Push spent waiting (full)
   uint64_t consumer_blocked_ns = 0;    ///< total ns Pop spent waiting (empty)
   uint64_t push_rejected = 0;          ///< pushes refused (closed/cancelled)
@@ -90,18 +90,9 @@ struct StageMetrics {
   uint64_t tuner_converged_batch = 0;  ///< stable target (0 until converged)
   double tuner_mean_push_batch = 0.0;  ///< mean push size, last window
   double tuner_pop_ms = 0.0;  ///< wall ms/pop, last window (-1: no pops)
-  // Adaptive-capacity controller state (CapacityPolicy::Adaptive edges
-  // only; see src/stream/tuning.h). `capacity_tuned` is false for static
-  // channels and all capacity_* controller fields stay zero.
-  bool capacity_tuned = false;        ///< edge has a live CapacityTuner
-  uint64_t capacity_min = 0;          ///< resize range lower bound
-  uint64_t capacity_max = 0;          ///< resize range upper bound
-  uint64_t capacity_resize_up = 0;    ///< times the bound was grown (x2)
-  uint64_t capacity_resize_down = 0;  ///< times the bound was shrunk (x0.5)
-  uint64_t capacity_converged = 0;    ///< stable bound (0 until converged)
   // Partition-edge breakdown (keyed-parallel stages only; empty for every
   // other edge). One nested snapshot per router→worker partition edge,
-  // each carrying its own tuner_*/capacity_* controller blocks; rendered
+  // each carrying its own tuner_* controller block; rendered
   // by ToJson() as a "worker_edges" array plus the "skew_ratio" summary.
   std::vector<StageMetrics> worker_edges;
   /// Hottest partition edge's records_in over the mean across edges
@@ -161,7 +152,8 @@ struct StageMetrics {
         "\"dropped_on_cancel\":%llu,\"late_dropped\":%llu,"
         "\"cancelled\":%s,\"bytes\":%llu,\"io_syncs\":%llu,"
         "\"recovered\":%llu,\"truncated_bytes\":%llu,\"tuned\":%s",
-        stage.c_str(), static_cast<unsigned long long>(records_in),
+        JsonEscape(stage).c_str(),
+        static_cast<unsigned long long>(records_in),
         static_cast<unsigned long long>(records_out),
         static_cast<unsigned long long>(batches_in),
         static_cast<unsigned long long>(batches_out),
@@ -207,18 +199,6 @@ struct StageMetrics {
           static_cast<unsigned long long>(tuner_adjust_down),
           static_cast<unsigned long long>(tuner_converged_batch),
           tuner_mean_push_batch, tuner_pop_ms);
-    }
-    if (capacity_tuned && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"capacity_tuned\":true,\"capacity_min\":%llu,"
-          "\"capacity_max\":%llu,\"capacity_resize_up\":%llu,"
-          "\"capacity_resize_down\":%llu,\"capacity_converged\":%llu",
-          static_cast<unsigned long long>(capacity_min),
-          static_cast<unsigned long long>(capacity_max),
-          static_cast<unsigned long long>(capacity_resize_up),
-          static_cast<unsigned long long>(capacity_resize_down),
-          static_cast<unsigned long long>(capacity_converged));
     }
     if (!error.empty() && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
       n += std::snprintf(buf + n, sizeof(buf) - n, ",\"error\":\"%s\"",
@@ -293,8 +273,8 @@ class StickyStageError {
 /// aggregate row (ShardedPipeline's merged report): counters sum, queue
 /// high-watermarks take the max (a per-queue bound, not additive),
 /// capacities sum (total buffering across shards), `cancelled` ORs, and
-/// the first non-empty error wins. Controller state (tuner_*/capacity_*)
-/// is per-edge and meaningless summed, so the aggregate row reports
+/// the first non-empty error wins. Controller state (tuner_*) is per-edge
+/// and meaningless summed, so the aggregate row reports
 /// tuned=false; read the per-shard breakdown for controller detail.
 /// Keyed stages' nested worker_edges merge positionally — shard s's
 /// partition w and shard t's partition w are the same logical edge (same

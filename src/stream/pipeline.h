@@ -4,9 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -32,36 +30,24 @@ namespace tcmf::stream {
 /// Designated initializers make call sites self-describing:
 ///
 ///   flow.Map<Out>(fn, {.name = "clean", .capacity = 256});
-///   flow.Filter(pred, {.batch = BatchPolicy::Adaptive(),
-///                      .latency_budget_ms = 20,
-///                      .capacity_tuning = CapacityPolicy::Adaptive()});
+///   flow.Filter(pred, {.batch = BatchPolicy::Adaptive()});
 ///
 /// Fields:
 ///  - `name`: stage name in StageMetrics reports ("" = auto "<op>#<i>").
-///  - `capacity`: the output channel's queue-depth bound (the adaptive
-///    seed when `capacity_tuning` is adaptive).
+///  - `capacity`: the output channel's queue-depth bound.
 ///  - `batch`: per-stage BatchPolicy override; nullopt inherits the
 ///    upstream Flow's policy (sources fall back to their own default —
 ///    Single for FromGenerator/FromVector, Batched for
 ///    FromBatchGenerator).
-///  - `latency_budget_ms`: staging-latency contract applied on top of
-///    the effective policy (<0 keeps the policy's own budget).
-///  - `capacity_tuning`: elastic-capacity controller range; the default
-///    is inert (static capacity).
 struct StageOptions {
   std::string name;
   size_t capacity = kDefaultCapacity;
   std::optional<BatchPolicy> batch;
-  int64_t latency_budget_ms = -1;
-  CapacityPolicy capacity_tuning{};
 
   /// The BatchPolicy this stage actually runs: the per-stage override if
-  /// set, else `inherited` (the upstream Flow's policy), with the
-  /// latency budget layered on top.
+  /// set, else `inherited` (the upstream Flow's policy).
   BatchPolicy EffectivePolicy(const BatchPolicy& inherited) const {
-    BatchPolicy p = batch.has_value() ? *batch : inherited;
-    if (latency_budget_ms >= 0) p.latency_budget_ms = latency_budget_ms;
-    return p;
+    return batch.value_or(inherited);
   }
 };
 
@@ -92,13 +78,7 @@ class BatchEmitter {
   }
 
   bool Emit(Out value) {
-    if (!policy_.batched()) {
-      const bool ok = out_->Push(std::move(value));
-      // Capacity-only tuners still need the sample cadence driven on
-      // record-at-a-time edges (no batch flushes to piggyback on).
-      if (ok && tuner_) tuner_->OnRecords(1);
-      return ok;
-    }
+    if (!policy_.batched()) return out_->Push(std::move(value));
     if (buf_.empty()) first_buffered_ = std::chrono::steady_clock::now();
     buf_.push_back(std::move(value));
     if (buf_.size() >= CurrentTarget()) return Flush();
@@ -117,43 +97,14 @@ class BatchEmitter {
 
   bool has_pending() const { return !buf_.empty(); }
 
-  /// The live linger bound in ms: min of the static `max_linger_ms` knob
-  /// and the latency-budget residual `budget - predicted_fill_ms`, where
-  /// predicted_fill_ms = target / fill_rate is how long the current batch
-  /// target is expected to keep staging records (tuner rate estimate; 0
-  /// without a tuner or before the first sample). As the adaptive
-  /// controller grows the target, the residual linger shrinks, so
-  /// fill time + linger stays <= budget — worst-case staging latency
-  /// bounded by contract (derivation: docs/STREAM_TUNING.md). Returns
-  /// +inf when neither knob is active (never flush on a timer).
-  double EffectiveLingerMs() const {
-    double linger = policy_.max_linger_ms >= 0
-                        ? static_cast<double>(policy_.max_linger_ms)
-                        : std::numeric_limits<double>::infinity();
-    if (policy_.latency_budget_ms >= 0) {
-      const double rate = tuner_ ? tuner_->rate_per_ms() : 0.0;
-      const double fill_ms =
-          rate > 0.0 ? static_cast<double>(CurrentTarget()) / rate : 0.0;
-      const double residual =
-          std::max(0.0, static_cast<double>(policy_.latency_budget_ms) -
-                            fill_ms);
-      linger = std::min(linger, residual);
-    }
-    return linger;
-  }
+  /// The output edge this emitter flushes into.
+  Channel<Out>& channel() const { return *out_; }
 
-  /// Time until the oldest buffered element exceeds the linger bound.
+  /// Time until the oldest buffered element exceeds `max_linger_ms`.
+  /// Callers only poll when the policy's LingerEnabled().
   std::chrono::milliseconds LingerRemaining() const {
-    double linger_ms = EffectiveLingerMs();
-    // Defensive clamp: callers only poll when LingerEnabled(), but keep
-    // the math finite regardless.
-    if (!std::isfinite(linger_ms)) linger_ms = 1e9;
-    const auto linger = std::chrono::duration_cast<
-        std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::milli>(linger_ms));
-    if (buf_.empty()) {
-      return std::chrono::duration_cast<std::chrono::milliseconds>(linger);
-    }
+    const std::chrono::milliseconds linger(policy_.max_linger_ms);
+    if (buf_.empty()) return linger;
     const auto deadline = first_buffered_ + linger;
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) return std::chrono::milliseconds(0);
@@ -171,32 +122,15 @@ class BatchEmitter {
 
 namespace internal {
 
-/// Creates the per-edge adaptive controller for `channel` when either
-/// policy asks for one (BatchPolicy::adaptive() re-targets the batch
-/// size; CapacityPolicy::adaptive() additionally attaches a
-/// CapacityTuner that elastically resizes the channel bound, driven from
-/// the same sample windows). Returns nullptr for fully static edges —
-/// callers treat a null tuner as "use the static policy".
-template <typename U>
-std::shared_ptr<BatchTuner> MakeTuner(const BatchPolicy& policy,
-                                      const CapacityPolicy& capacity_policy,
-                                      const std::shared_ptr<Channel<U>>& ch) {
-  if (!policy.adaptive() && !capacity_policy.adaptive()) return nullptr;
-  auto tuner = std::make_shared<BatchTuner>(
-      policy, [ch] { return ch->MetricsSnapshot(); });
-  if (capacity_policy.adaptive()) {
-    tuner->AttachCapacityTuner(std::make_shared<CapacityTuner>(
-        capacity_policy, ch->capacity(),
-        [ch](size_t c) { ch->Resize(c); },
-        [ch] { return ch->TakeQueueWatermarkWindow(); }));
-  }
-  return tuner;
-}
-
+/// Creates the per-edge adaptive controller for `channel` when the policy
+/// asks for one. Returns nullptr for static edges — callers treat a null
+/// tuner as "use the static policy".
 template <typename U>
 std::shared_ptr<BatchTuner> MakeTuner(const BatchPolicy& policy,
                                       const std::shared_ptr<Channel<U>>& ch) {
-  return MakeTuner(policy, CapacityPolicy{}, ch);
+  if (!policy.adaptive()) return nullptr;
+  return std::make_shared<BatchTuner>(policy,
+                                      [ch] { return ch->MetricsSnapshot(); });
 }
 
 /// The shared consume/transform/emit loop behind every 1-input operator.
@@ -425,20 +359,103 @@ class FusedChain;
 
 namespace internal {
 
-/// Shared construction behind Flow::KeyedProcessParallel and
-/// FusedChain::KeyedProcessParallel (declared here, defined after Flow):
-/// a partition router plus `parallelism` keyed workers over per-worker
-/// partition edges, with the optional fused stateless `prefix` executed
-/// inside the router thread (nullptr = identity, the plain un-fused
-/// path).
+/// Per-stage state of a stateless operator.
+struct NoState {};
+
+/// End-of-stream hook of an operator with nothing to flush.
+struct NoExit {
+  template <typename State, typename Emitter>
+  void operator()(State&, bool, Emitter&) const {}
+};
+
+/// The stage primitive behind every single-output operator (Map, FlatMap,
+/// Filter, KeyedProcess, KeyedTumblingWindow, FusedChain::Emit and the
+/// single-worker keyed path). Creates the output channel, its tuner
+/// (adaptive policies only) and the report row, then starts the stage
+/// thread. The thread default-constructs the per-stage `State` itself —
+/// keyed state maps are allocated by the thread that uses them — runs
+/// RunStage with `per_element(state, item, emitter) -> bool` and
+/// `at_exit(state, open, emitter)`, and closes the output on every exit
+/// path. The input edge, its tuner and the inherited policy come from
+/// `from`; defined after Flow.
+template <typename Out, typename State = NoState, typename In,
+          typename PerElement, typename AtExit = NoExit>
+Flow<Out> BuildStage(const Flow<In>& from, const char* op, StageOptions opts,
+                     PerElement per_element, AtExit at_exit = {});
+
+/// A fused stateless prefix run ahead of a keyed boundary:
+/// `prefix(item, sink)` forwards zero or more `T`s per input element.
+template <typename In, typename T>
+using KeyedPrefix = std::function<void(In&&, const std::function<void(T&&)>&)>;
+
+/// The keyed state machine, written once for every keyed stage thread:
+/// KeyedProcess, the single-worker path of a (fused) keyed-parallel stage
+/// and each keyed-parallel worker. Step runs the optional fused `prefix`
+/// (nullptr = identity), then `process` on the element's per-key state;
+/// Finish runs `flush` for every live key at end of stream. The state
+/// map is the stage thread's own (`States`).
 template <typename In, typename T, typename Out, typename State>
-Flow<Out> KeyedParallelStage(
-    Pipeline* pipeline, std::shared_ptr<Channel<In>> in,
-    std::shared_ptr<BatchTuner> upstream_tuner, const BatchPolicy& inherited,
-    std::function<void(In&&, const std::function<void(T&&)>&)> prefix,
-    std::function<uint64_t(const T&)> key_fn,
-    KeyedProcessFn<T, Out, State> process, size_t parallelism,
-    KeyedFlushFn<Out, State> flush, StageOptions opts, const char* op);
+struct KeyedLogic {
+  using States = std::unordered_map<uint64_t, State>;
+
+  KeyedPrefix<In, T> prefix;
+  std::function<uint64_t(const T&)> key_fn;
+  KeyedProcessFn<T, Out, State> process;
+  KeyedFlushFn<Out, State> flush;
+
+  bool Step(States& states, In& item, BatchEmitter<Out>& em) const {
+    bool ok = true;
+    auto emit = [&](Out o) {
+      if (ok && !em.Emit(std::move(o))) ok = false;
+    };
+    auto keyed = [&](T&& t) { process(t, states[key_fn(t)], emit); };
+    if constexpr (std::is_same_v<In, T>) {
+      if (!prefix) {
+        keyed(std::move(item));
+        return ok;
+      }
+    }
+    prefix(std::move(item), keyed);
+    return ok;
+  }
+
+  void Finish(States& states, bool open, BatchEmitter<Out>& em) const {
+    if (!open || !flush) return;
+    bool ok = true;
+    auto emit = [&](Out o) {
+      if (ok && !em.Emit(std::move(o))) ok = false;
+    };
+    for (auto& [key, state] : states) flush(key, state, emit);
+  }
+};
+
+/// A keyed stage on one thread: BuildStage over KeyedLogic.
+template <typename In, typename T, typename Out, typename State>
+Flow<Out> KeyedStage(const Flow<In>& from, const char* op, StageOptions opts,
+                     KeyedLogic<In, T, Out, State> logic) {
+  using Logic = KeyedLogic<In, T, Out, State>;
+  using States = typename Logic::States;
+  auto shared = std::make_shared<const Logic>(std::move(logic));
+  return BuildStage<Out, States>(
+      from, op, std::move(opts),
+      [shared](States& states, In& item, BatchEmitter<Out>& em) {
+        return shared->Step(states, item, em);
+      },
+      [shared](States& states, bool open, BatchEmitter<Out>& em) {
+        shared->Finish(states, open, em);
+      });
+}
+
+/// Shared construction behind Flow::KeyedProcessParallel and
+/// FusedChain::KeyedProcessParallel (defined after Flow): a partition
+/// router plus `parallelism` keyed workers over per-worker partition
+/// edges, with the optional fused stateless prefix of `logic` executed
+/// inside the router thread. `parallelism <= 1` is one KeyedStage.
+template <typename In, typename T, typename Out, typename State>
+Flow<Out> KeyedParallelStage(const Flow<In>& from,
+                             KeyedLogic<In, T, Out, State> logic,
+                             size_t parallelism, StageOptions opts,
+                             const char* op);
 
 }  // namespace internal
 
@@ -494,16 +511,16 @@ class Flow {
 
   /// Source from a pull function; the function returns nullopt when the
   /// stream is exhausted. With a batched policy the generator stages up
-  /// to the batch target (bounded by the effective linger) per transfer;
-  /// with an adaptive policy the staging threshold tracks the edge's
-  /// BatchTuner target. Default policy when `opts.batch` is unset:
-  /// record-at-a-time (Single).
+  /// to the batch target (bounded by the linger) per transfer; with an
+  /// adaptive policy the staging threshold tracks the edge's BatchTuner
+  /// target. Default policy when `opts.batch` is unset: record-at-a-time
+  /// (Single).
   static Flow<T> FromGenerator(Pipeline* pipeline,
                                std::function<std::optional<T>()> next,
                                StageOptions opts = {}) {
     const BatchPolicy policy = opts.EffectivePolicy(BatchPolicy{});
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
-    auto tuner = internal::MakeTuner(policy, opts.capacity_tuning, channel);
+    auto tuner = internal::MakeTuner(policy, channel);
     pipeline->RegisterChannelStage("source", std::move(opts.name), channel,
                                    tuner);
     pipeline->AddThread([channel, policy, tuner,
@@ -540,7 +557,7 @@ class Flow {
       StageOptions opts = {}) {
     const BatchPolicy policy = opts.EffectivePolicy(BatchPolicy::Batched());
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
-    auto tuner = internal::MakeTuner(policy, opts.capacity_tuning, channel);
+    auto tuner = internal::MakeTuner(policy, channel);
     pipeline->RegisterChannelStage("source", std::move(opts.name), channel,
                                    tuner);
     pipeline->AddThread(
@@ -581,77 +598,38 @@ class Flow {
   /// 1:1 transform.
   template <typename Out>
   Flow<Out> Map(std::function<Out(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
-    auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("map", std::move(opts.name), out,
-                                    out_tuner);
-    auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          fn = std::move(fn)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
-      internal::RunStage(
-          in, emitter, policy, in_tuner,
-          [&fn](T& item, BatchEmitter<Out>& em) { return em.Emit(fn(item)); },
-          [](bool, BatchEmitter<Out>&) {});
-      out->Close();
-    });
-    return Flow<Out>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return internal::BuildStage<Out>(
+        *this, "map", std::move(opts),
+        [fn = std::move(fn)](internal::NoState&, T& item,
+                             BatchEmitter<Out>& em) {
+          return em.Emit(fn(item));
+        });
   }
 
   /// 1:N transform.
   template <typename Out>
   Flow<Out> FlatMap(std::function<std::vector<Out>(const T&)> fn,
                     StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
-    auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("flatmap", std::move(opts.name), out,
-                                    out_tuner);
-    auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          fn = std::move(fn)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
-      internal::RunStage(
-          in, emitter, policy, in_tuner,
-          [&fn](T& item, BatchEmitter<Out>& em) {
-            for (Out& o : fn(item)) {
-              if (!em.Emit(std::move(o))) return false;
-            }
-            return true;
-          },
-          [](bool, BatchEmitter<Out>&) {});
-      // Close on EVERY exit path — an early return here used to leave
-      // downstream Pop blocked forever.
-      out->Close();
-    });
-    return Flow<Out>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return internal::BuildStage<Out>(
+        *this, "flatmap", std::move(opts),
+        [fn = std::move(fn)](internal::NoState&, T& item,
+                             BatchEmitter<Out>& em) {
+          for (Out& o : fn(item)) {
+            if (!em.Emit(std::move(o))) return false;
+          }
+          return true;
+        });
   }
 
   /// Keeps elements satisfying the predicate.
   Flow<T> Filter(std::function<bool(const T&)> pred, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
-    auto out = std::make_shared<Channel<T>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("filter", std::move(opts.name), out,
-                                    out_tuner);
-    auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          pred = std::move(pred)] {
-      BatchEmitter<T> emitter(out, policy, out_tuner);
-      internal::RunStage(
-          in, emitter, policy, in_tuner,
-          [&pred](T& item, BatchEmitter<T>& em) {
-            if (!pred(item)) return true;
-            return em.Emit(std::move(item));
-          },
-          [](bool, BatchEmitter<T>&) {});
-      out->Close();
-    });
-    return Flow<T>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return internal::BuildStage<T>(
+        *this, "filter", std::move(opts),
+        [pred = std::move(pred)](internal::NoState&, T& item,
+                                 BatchEmitter<T>& em) {
+          if (!pred(item)) return true;
+          return em.Emit(std::move(item));
+        });
   }
 
   /// Starts a fused chain: adjacent stateless stages (Map/Filter/FlatMap)
@@ -672,40 +650,9 @@ class Flow {
                          KeyedProcessFn<T, Out, State> process,
                          KeyedFlushFn<Out, State> flush = nullptr,
                          StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
-    auto out = std::make_shared<Channel<Out>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("keyed", std::move(opts.name), out,
-                                    out_tuner);
-    auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          key_fn = std::move(key_fn),
-                          process = std::move(process),
-                          flush = std::move(flush)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
-      std::unordered_map<uint64_t, State> states;
-      internal::RunStage(
-          in, emitter, policy, in_tuner,
-          [&](T& item, BatchEmitter<Out>& em) {
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            process(item, states[key_fn(item)], emit);
-            return ok;
-          },
-          [&](bool open, BatchEmitter<Out>& em) {
-            if (!open || !flush) return;
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            for (auto& [key, state] : states) flush(key, state, emit);
-          });
-      out->Close();
-    });
-    return Flow<Out>(pipeline_, std::move(out), policy, std::move(out_tuner));
+    return internal::KeyedStage<T, T, Out, State>(
+        *this, "keyed", std::move(opts),
+        {nullptr, std::move(key_fn), std::move(process), std::move(flush)});
   }
 
   /// Keyed stateful processing with `parallelism` worker threads: elements
@@ -713,12 +660,11 @@ class Flow {
   /// range (the Flink keyed-stream execution model). Output order across
   /// workers is nondeterministic; per-key order is preserved.
   ///
-  /// Each router→worker partition edge carries its own BatchTuner /
-  /// CapacityTuner (adaptive policies only): a hot partition re-targets
-  /// its own edge without moving the cold ones, and the per-edge
-  /// controller state surfaces as `worker_edges` (plus `skew_ratio`) on
-  /// this stage's row in Report()/ReportJson() — see
-  /// docs/STREAM_TUNING.md §7.
+  /// Each router→worker partition edge carries its own BatchTuner
+  /// (adaptive policies only): a hot partition re-targets its own edge
+  /// without moving the cold ones, and the per-edge controller state
+  /// surfaces as `worker_edges` (plus `skew_ratio`) on this stage's row
+  /// in Report()/ReportJson() — see docs/STREAM_TUNING.md §5.
   template <typename Out, typename State>
   Flow<Out> KeyedProcessParallel(std::function<uint64_t(const T&)> key_fn,
                                  KeyedProcessFn<T, Out, State> process,
@@ -730,9 +676,9 @@ class Flow {
                                       std::move(flush), std::move(opts));
     }
     return internal::KeyedParallelStage<T, T, Out, State>(
-        pipeline_, channel_, tuner_, policy_, /*prefix=*/nullptr,
-        std::move(key_fn), std::move(process), parallelism, std::move(flush),
-        std::move(opts), "keyed_par");
+        *this,
+        {nullptr, std::move(key_fn), std::move(process), std::move(flush)},
+        parallelism, std::move(opts), "keyed_par");
   }
 
   /// Keyed event-time tumbling windows with bounded lateness: elements are
@@ -750,81 +696,55 @@ class Flow {
                       StageOptions opts = {}) {
     using Result =
         std::pair<uint64_t, typename TumblingWindower<T, Acc>::WindowResult>;
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
-    auto out = std::make_shared<Channel<Result>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline_->RegisterChannelStage("window", std::move(opts.name), out,
-                                    out_tuner);
-    auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, out, policy, in_tuner, out_tuner,
-                          key_fn = std::move(key_fn),
-                          time_fn = std::move(time_fn), window_ms,
-                          allowed_lateness_ms, add = std::move(add)] {
-      BatchEmitter<Result> emitter(out, policy, out_tuner);
-      std::unordered_map<uint64_t, TumblingWindower<T, Acc>> windowers;
-      internal::RunStage(
-          in, emitter, policy, in_tuner,
-          [&](T& item, BatchEmitter<Result>& em) {
-            const uint64_t key = key_fn(item);
-            auto [it, inserted] = windowers.try_emplace(
-                key, window_ms, allowed_lateness_ms, add);
-            for (auto& wr : it->second.Add(item, time_fn(item))) {
-              if (!em.Emit({key, std::move(wr)})) return false;
-            }
-            return true;
-          },
-          [&](bool open, BatchEmitter<Result>& em) {
-            uint64_t late = 0;
-            bool ok = open;
-            for (auto& [key, w] : windowers) {
-              if (ok) {
-                for (auto& wr : w.Close()) {
-                  if (!em.Emit({key, std::move(wr)})) {
-                    ok = false;
-                    break;
-                  }
+    using Windowers = std::unordered_map<uint64_t, TumblingWindower<T, Acc>>;
+    return internal::BuildStage<Result, Windowers>(
+        *this, "window", std::move(opts),
+        [key_fn = std::move(key_fn), time_fn = std::move(time_fn), window_ms,
+         allowed_lateness_ms, add = std::move(add)](
+            Windowers& windowers, T& item, BatchEmitter<Result>& em) {
+          const uint64_t key = key_fn(item);
+          auto [it, inserted] =
+              windowers.try_emplace(key, window_ms, allowed_lateness_ms, add);
+          for (auto& wr : it->second.Add(item, time_fn(item))) {
+            if (!em.Emit({key, std::move(wr)})) return false;
+          }
+          return true;
+        },
+        [](Windowers& windowers, bool open, BatchEmitter<Result>& em) {
+          uint64_t late = 0;
+          bool ok = open;
+          for (auto& [key, w] : windowers) {
+            if (ok) {
+              for (auto& wr : w.Close()) {
+                if (!em.Emit({key, std::move(wr)})) {
+                  ok = false;
+                  break;
                 }
               }
-              late += w.late_dropped();
             }
-            out->RecordLateDropped(late);
-          });
-      out->Close();
-    });
-    return Flow<Result>(pipeline_, std::move(out), policy,
-                        std::move(out_tuner));
+            late += w.late_dropped();
+          }
+          em.channel().RecordLateDropped(late);
+        });
   }
 
-  /// Terminal: applies `fn` to every element. Runs until end-of-stream;
-  /// under batching it pops amortized transfers (at the live tuner target
-  /// on adaptive edges) and applies `fn` element-at-a-time. A sink owns
-  /// no output channel, so only `opts.batch` (pop-policy override) is
-  /// meaningful here; the other StageOptions fields are ignored.
+  /// Terminal: applies `fn` to every element — SinkWhile with a function
+  /// that never stops. A sink owns no output channel, so only `opts.batch`
+  /// (pop-policy override) is meaningful here; the other StageOptions
+  /// fields are ignored.
   void Sink(std::function<void(const T&)> fn, StageOptions opts = {}) {
-    const BatchPolicy policy = opts.EffectivePolicy(policy_);
-    auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, policy, in_tuner, fn = std::move(fn)] {
-      if (!policy.batched()) {
-        while (auto item = in->Pop()) fn(*item);
-        return;
-      }
-      std::vector<T> batch;
-      batch.reserve(policy.PopMax());
-      while (true) {
-        batch.clear();
-        const size_t want = in_tuner ? in_tuner->target() : policy.PopMax();
-        const size_t n = in->PopBatch(&batch, want);
-        if (n == 0) break;
-        for (size_t i = 0; i < n; ++i) fn(batch[i]);
-      }
-    });
+    SinkWhile(
+        [fn = std::move(fn)](const T& item) {
+          fn(item);
+          return true;
+        },
+        std::move(opts));
   }
 
   /// Terminal: applies `fn` until it returns false, then cancels the
   /// stream — upstream stages unblock and exit (no deadlock even with
-  /// producers mid-Push). The early-stopping sink. Under batching,
+  /// producers mid-Push). The early-stopping sink. Under batching it pops
+  /// amortized transfers (at the live tuner target on adaptive edges);
   /// elements already popped in the cancelling batch are dropped — the
   /// same fate queued elements meet under CloseAndDrain.
   void SinkWhile(std::function<bool(const T&)> fn, StageOptions opts = {}) {
@@ -882,24 +802,48 @@ class Flow {
 
 namespace internal {
 
-/// Shared keyed-parallel construction (see the declaration above Flow).
-/// `prefix` is the fused stateless chain executed INSIDE the router
-/// thread (nullptr = identity, the plain un-fused path): the router pops
-/// `In` elements from the upstream edge, runs the prefix inline, and
-/// hash-partitions the resulting `T` elements straight into the
-/// per-worker partition edges — zero channels between the upstream edge
-/// and the keyed boundary.
+template <typename Out, typename State, typename In, typename PerElement,
+          typename AtExit>
+Flow<Out> BuildStage(const Flow<In>& from, const char* op, StageOptions opts,
+                     PerElement per_element, AtExit at_exit) {
+  Pipeline* pipeline = from.pipeline();
+  const BatchPolicy policy = opts.EffectivePolicy(from.batch_policy());
+  auto out = std::make_shared<Channel<Out>>(opts.capacity);
+  auto out_tuner = MakeTuner(policy, out);
+  pipeline->RegisterChannelStage(op, std::move(opts.name), out, out_tuner);
+  auto in = from.channel();
+  auto in_tuner = policy.adaptive() ? from.tuner() : nullptr;
+  pipeline->AddThread([in, out, policy, in_tuner, out_tuner,
+                       per_element = std::move(per_element),
+                       at_exit = std::move(at_exit)] {
+    BatchEmitter<Out> emitter(out, policy, out_tuner);
+    State state;
+    RunStage(
+        in, emitter, policy, in_tuner,
+        [&](In& item, BatchEmitter<Out>& em) {
+          return per_element(state, item, em);
+        },
+        [&](bool open, BatchEmitter<Out>& em) { at_exit(state, open, em); });
+    out->Close();
+  });
+  return Flow<Out>(pipeline, std::move(out), policy, std::move(out_tuner));
+}
+
+/// Keyed-parallel construction (see the declaration above Flow). The
+/// router pops `In` elements from the upstream edge, runs the fused
+/// prefix inline, and hash-partitions the resulting `T` elements straight
+/// into the per-worker partition edges — zero channels between the
+/// upstream edge and the keyed boundary.
 ///
 /// Partition-edge tuning: every router→worker edge gets its own
-/// BatchTuner/CapacityTuner (adaptive policies only). The router drives
-/// each edge's controller with the records it scatters there and each
-/// worker pops at its own edge's live target, so a hot partition's
-/// back-off (slow per-pop windows on a loaded worker) stays on its own
-/// edge while the starvation gate (BatchPolicy::
-/// backoff_max_starved_fraction) keeps the arrival-limited cold edges
-/// from shrinking in sympathy. The per-edge snapshots nest under the
-/// stage's report row as `worker_edges` (with `skew_ratio`); aggregate
-/// them with SummarizeWorkerEdges.
+/// BatchTuner (adaptive policies only). The router drives each edge's
+/// controller with the records it scatters there and each worker pops at
+/// its own edge's live target, so a hot partition's back-off (slow
+/// per-pop windows on a loaded worker) stays on its own edge while the
+/// starvation gate (kTunerBackoffMaxStarvedFraction) keeps the
+/// arrival-limited cold edges from shrinking in sympathy. The per-edge
+/// snapshots nest under the stage's report row as `worker_edges` (with
+/// `skew_ratio`); aggregate them with SummarizeWorkerEdges.
 ///
 /// Router-input edge: the router's pop size is governed by its own
 /// controller over the upstream channel, seeded from the upstream
@@ -909,71 +853,33 @@ namespace internal {
 /// router's consumption profile re-target the producer's flush size.
 /// Registered as "<stage>.router_in" on adaptive policies.
 template <typename In, typename T, typename Out, typename State>
-Flow<Out> KeyedParallelStage(
-    Pipeline* pipeline, std::shared_ptr<Channel<In>> in,
-    std::shared_ptr<BatchTuner> upstream_tuner, const BatchPolicy& inherited,
-    std::function<void(In&&, const std::function<void(T&&)>&)> prefix,
-    std::function<uint64_t(const T&)> key_fn,
-    KeyedProcessFn<T, Out, State> process, size_t parallelism,
-    KeyedFlushFn<Out, State> flush, StageOptions opts, const char* op) {
-  const BatchPolicy policy = opts.EffectivePolicy(inherited);
-  auto out = std::make_shared<Channel<Out>>(opts.capacity);
-  // One tuner for the shared output edge: all workers flush at the same
-  // live target and feed the same controller (OnRecords is thread-safe).
-  auto out_tuner = MakeTuner(policy, opts.capacity_tuning, out);
-  const std::string stage = pipeline->ResolveStageName(op, std::move(opts.name));
-
+Flow<Out> KeyedParallelStage(const Flow<In>& from,
+                             KeyedLogic<In, T, Out, State> logic,
+                             size_t parallelism, StageOptions opts,
+                             const char* op) {
   if (parallelism <= 1) {
     // One worker: the prefix and the keyed state machine share a single
     // stage thread — no router, no partition edges.
-    pipeline->RegisterChannelStage(op, stage, out, out_tuner);
-    auto in_tuner = policy.adaptive() ? upstream_tuner : nullptr;
-    pipeline->AddThread([in, out, policy, in_tuner, out_tuner,
-                         prefix = std::move(prefix),
-                         key_fn = std::move(key_fn),
-                         process = std::move(process),
-                         flush = std::move(flush)] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
-      std::unordered_map<uint64_t, State> states;
-      RunStage(
-          in, emitter, policy, in_tuner,
-          [&](In& item, BatchEmitter<Out>& em) {
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            auto keyed = [&](T&& t) { process(t, states[key_fn(t)], emit); };
-            if constexpr (std::is_same_v<In, T>) {
-              if (!prefix) {
-                keyed(std::move(item));
-                return ok;
-              }
-            }
-            prefix(std::move(item), keyed);
-            return ok;
-          },
-          [&](bool open, BatchEmitter<Out>& em) {
-            if (!open || !flush) return;
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            for (auto& [key, state] : states) flush(key, state, emit);
-          });
-      out->Close();
-    });
-    return Flow<Out>(pipeline, std::move(out), policy, std::move(out_tuner));
+    return KeyedStage(from, op, std::move(opts), std::move(logic));
   }
+  Pipeline* pipeline = from.pipeline();
+  const BatchPolicy policy = opts.EffectivePolicy(from.batch_policy());
+  auto in = from.channel();
+  auto out = std::make_shared<Channel<Out>>(opts.capacity);
+  // One tuner for the shared output edge: all workers flush at the same
+  // live target and feed the same controller (OnRecords is thread-safe).
+  auto out_tuner = MakeTuner(policy, out);
+  const std::string stage = pipeline->ResolveStageName(op, std::move(opts.name));
 
   // Partition router: one input channel per worker, each edge with its
-  // own adaptive controllers.
+  // own adaptive controller.
   auto partitions =
       std::make_shared<std::vector<std::shared_ptr<Channel<T>>>>();
   auto part_tuners =
       std::make_shared<std::vector<std::shared_ptr<BatchTuner>>>();
   for (size_t w = 0; w < parallelism; ++w) {
     auto part = std::make_shared<Channel<T>>(opts.capacity);
-    part_tuners->push_back(MakeTuner(policy, opts.capacity_tuning, part));
+    part_tuners->push_back(MakeTuner(policy, part));
     partitions->push_back(std::move(part));
   }
   // One report row for the whole stage: the shared output edge plus the
@@ -993,16 +899,13 @@ Flow<Out> KeyedParallelStage(
         return m;
       });
 
-  // The router's own input controller (see the doc comment above). No
-  // capacity tuner is attached: the upstream channel's bound belongs to
-  // the upstream stage's options, and only one CapacityTuner may own a
-  // channel's watermark window.
+  // The router's own input controller (see the doc comment above).
   std::shared_ptr<BatchTuner> router_in_tuner;
   if (policy.adaptive()) {
     BatchPolicy seeded = policy;
-    if (upstream_tuner) {
-      seeded.max_batch = std::clamp(upstream_tuner->target(),
-                                    policy.min_batch, policy.max_batch_cap);
+    if (from.tuner()) {
+      seeded.max_batch = std::clamp(from.tuner()->target(), policy.min_batch,
+                                    policy.max_batch_cap);
     }
     router_in_tuner = std::make_shared<BatchTuner>(
         seeded, [in] { return in->MetricsSnapshot(); });
@@ -1014,8 +917,8 @@ Flow<Out> KeyedParallelStage(
   }
 
   pipeline->AddThread([in, partitions, part_tuners, parallelism, policy,
-                       router_in_tuner, key_fn,
-                       prefix = std::move(prefix)] {
+                       router_in_tuner, key_fn = logic.key_fn,
+                       prefix = logic.prefix] {
     // Route through the Mix64 finalizer, not std::hash: libstdc++'s
     // identity hash would fold structured keys (vessel IDs stepping by
     // a multiple of `parallelism`) onto a single worker.
@@ -1028,8 +931,6 @@ Flow<Out> KeyedParallelStage(
           // A worker cancelled its partition (downstream gone): stop
           // routing and propagate the cancel to our own input.
           open = false;
-        } else if ((*part_tuners)[w]) {
-          (*part_tuners)[w]->OnRecords(1);
         }
       };
       while (open) {
@@ -1090,32 +991,25 @@ Flow<Out> KeyedParallelStage(
   });
 
   // Workers share the output channel; the last one to finish closes it.
-  // Each worker pops its partition at that edge's own live target.
+  // Each worker pops its partition at that edge's own live target and
+  // runs its own copy of the keyed state machine (no prefix: the router
+  // already ran it).
+  const KeyedLogic<T, T, Out, State> worker{nullptr, logic.key_fn,
+                                            logic.process, logic.flush};
   auto live_workers = std::make_shared<std::atomic<size_t>>(parallelism);
   for (size_t w = 0; w < parallelism; ++w) {
-    auto my_in = (*partitions)[w];
-    auto my_tuner = (*part_tuners)[w];
-    pipeline->AddThread([my_in, my_tuner, out, out_tuner, key_fn, process,
-                         flush, live_workers, policy] {
+    pipeline->AddThread([my_in = (*partitions)[w],
+                         my_tuner = (*part_tuners)[w], out, out_tuner,
+                         worker, live_workers, policy] {
       BatchEmitter<Out> emitter(out, policy, out_tuner);
-      std::unordered_map<uint64_t, State> states;
+      typename KeyedLogic<T, T, Out, State>::States states;
       RunStage(
           my_in, emitter, policy, my_tuner,
           [&](T& item, BatchEmitter<Out>& em) {
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            process(item, states[key_fn(item)], emit);
-            return ok;
+            return worker.Step(states, item, em);
           },
           [&](bool open, BatchEmitter<Out>& em) {
-            if (!open || !flush) return;
-            bool ok = true;
-            auto emit = [&](Out o) {
-              if (ok && !em.Emit(std::move(o))) ok = false;
-            };
-            for (auto& [key, state] : states) flush(key, state, emit);
+            worker.Finish(states, open, em);
           });
       if (live_workers->fetch_sub(1) == 1) out->Close();
     });
@@ -1206,39 +1100,25 @@ class FusedChain {
                                  KeyedFlushFn<Out, State> flush = nullptr,
                                  StageOptions opts = {}) const {
     return internal::KeyedParallelStage<In, Cur, Out, State>(
-        source_.pipeline(), source_.channel(), source_.tuner(),
-        source_.batch_policy(), apply_, std::move(key_fn), std::move(process),
-        parallelism, std::move(flush), std::move(opts), "fused_keyed");
+        source_,
+        {apply_, std::move(key_fn), std::move(process), std::move(flush)},
+        parallelism, std::move(opts), "fused_keyed");
   }
 
   /// Materializes the fused chain as one pipeline stage with one output
   /// channel, draining and emitting per the source Flow's BatchPolicy
   /// (overridable via `opts.batch` like any other operator).
   Flow<Cur> Emit(StageOptions opts = {}) const {
-    Pipeline* pipeline = source_.pipeline();
-    const BatchPolicy policy = opts.EffectivePolicy(source_.batch_policy());
-    auto out = std::make_shared<Channel<Cur>>(opts.capacity);
-    auto out_tuner = internal::MakeTuner(policy, opts.capacity_tuning, out);
-    pipeline->RegisterChannelStage("fused", std::move(opts.name), out,
-                                   out_tuner);
-    auto in = source_.channel();
-    auto in_tuner = policy.adaptive() ? source_.tuner() : nullptr;
-    pipeline->AddThread([in, out, policy, in_tuner, out_tuner,
-                         apply = apply_] {
-      BatchEmitter<Cur> emitter(out, policy, out_tuner);
-      internal::RunStage(
-          in, emitter, policy, in_tuner,
-          [&apply](In& item, BatchEmitter<Cur>& em) {
-            bool ok = true;
-            apply(std::move(item), [&](Cur&& c) {
-              if (ok && !em.Emit(std::move(c))) ok = false;
-            });
-            return ok;
-          },
-          [](bool, BatchEmitter<Cur>&) {});
-      out->Close();
-    });
-    return Flow<Cur>(pipeline, std::move(out), policy, std::move(out_tuner));
+    return internal::BuildStage<Cur>(
+        source_, "fused", std::move(opts),
+        [apply = apply_](internal::NoState&, In& item,
+                         BatchEmitter<Cur>& em) {
+          bool ok = true;
+          apply(std::move(item), [&](Cur&& c) {
+            if (ok && !em.Emit(std::move(c))) ok = false;
+          });
+          return ok;
+        });
   }
 
  private:

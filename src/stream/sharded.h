@@ -44,7 +44,7 @@ namespace tcmf::stream {
 class ShardedPipeline {
  public:
   /// `defaults` is the facade's StageOptions template: one place to
-  /// configure batching/capacity/latency-budget for every stage of every
+  /// configure batching/capacity for every stage of every
   /// shard (builders fetch it via options() and override per stage).
   explicit ShardedPipeline(size_t shards, StageOptions defaults = {})
       : defaults_(std::move(defaults)) {

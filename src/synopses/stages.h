@@ -22,8 +22,7 @@ namespace tcmf::synopses {
 /// BatchTuner, surfaced as the stage row's `worker_edges` (with
 /// `skew_ratio`) in ReportJson (pass `.batch = BatchPolicy::Batched(n)`
 /// for a pinned static size, `BatchPolicy::Single()` for
-/// record-at-a-time; `.capacity_tuning = CapacityPolicy::Adaptive()`
-/// makes the channel bounds elastic; see docs/STREAM_TUNING.md).
+/// record-at-a-time; see docs/STREAM_TUNING.md).
 namespace internal {
 
 struct SynopsesState {

@@ -2,13 +2,11 @@
 // operator fusion (the correctness lock for PushBatch/PopBatch +
 // BatchPolicy + Flow::Fuse): seeded random operator graphs over simulated
 // vessel records are executed several ways — record-at-a-time, batched,
-// fused+batched, adaptive-batch, elastic-capacity (live channel Resize
-// driven by the CapacityTuner) and latency-budget linger — across batch
-// sizes {1, 7, 64, 1024}, channel capacities {1, 2, 1024} and worker
-// counts, and every execution must produce the exact same output
-// multiset. Batch boundaries, live resizes and budget-tightened flush
-// timing are implementation details; if they ever become observable,
-// these tests fail.
+// fused+batched and adaptive-batch — across batch sizes {1, 7, 64, 1024},
+// channel capacities {1, 2, 1024} and worker counts, and every execution
+// must produce the exact same output multiset. Batch boundaries and live
+// re-targeting are implementation details; if they ever become
+// observable, these tests fail.
 //
 // Also: shutdown/cancellation stress under batching (sink cancels
 // mid-batch, source closes mid-linger, parallel keyed teardown) — the PR 1
@@ -258,8 +256,7 @@ Flow<VRec> BuildGraph(Flow<VRec> flow, const std::vector<OpSpec>& ops,
 /// Executes the operator graph over `input` and returns the canonical
 /// output multiset. `fuse` replaces maximal stateless runs with fused
 /// single-thread stages. `base` carries the per-edge knobs under test
-/// (static capacity, elastic capacity_tuning, latency budget); its
-/// `batch` and `name` fields are ignored — the transport policy comes
+/// (the channel capacity); its `batch` and `name` fields are ignored — the transport policy comes
 /// from `policy` (set on the source edge and inherited downstream) and
 /// names stay auto-assigned so the shutdown tests' "source#0" lookups
 /// keep working.
@@ -373,29 +370,10 @@ TEST_P(BatchEquivTest, BatchedAndFusedMatchRecordAtATime) {
   adaptive.tune_every_records = 64;
   const std::vector<VRec> tuned =
       RunGraph(ops, input, adaptive, p.capacity, false);
-  // Elastic capacity: every edge starts at the sweep capacity but carries
-  // a CapacityTuner allowed to resize it across [1, 4096] at an
-  // aggressive cadence. Live channel resizes (including while producers
-  // are blocked on a full queue) must be exactly as invisible as batch
-  // re-targeting.
-  StageOptions elastic;
-  elastic.capacity = p.capacity;
-  elastic.capacity_tuning = CapacityPolicy::Adaptive(1, 4096);
-  const std::vector<VRec> resized =
-      RunGraph(ops, input, adaptive, elastic, false);
-  // Latency-budget linger on top of a static batched policy: the budget
-  // only tightens flush timing, never changes what is delivered.
-  StageOptions budgeted;
-  budgeted.capacity = p.capacity;
-  budgeted.latency_budget_ms = 5;
-  const std::vector<VRec> budget_run = RunGraph(
-      ops, input, BatchPolicy::Batched(p.batch, 50), budgeted, false);
 
   ExpectSameMultiset(baseline, batched, "batched");
   ExpectSameMultiset(baseline, fused, "fused+batched");
   ExpectSameMultiset(baseline, tuned, "adaptive");
-  ExpectSameMultiset(baseline, resized, "elastic-capacity");
-  ExpectSameMultiset(baseline, budget_run, "latency-budget");
 }
 
 std::vector<EquivParams> SweepParams() {
@@ -832,42 +810,6 @@ TEST(BatchShutdownTest, GeneratorStopsWhenDownstreamCancelsBatched) {
       5000);
 }
 
-TEST(BatchShutdownTest, AdaptiveCapacityWithFusionTearsDownCleanly) {
-  // Elastic channels + fused stages + a sink that walks away mid-stream:
-  // a Resize racing a CloseAndDrain (or a producer blocked on a bound
-  // that just changed) must not strand any thread. The capacity tuner is
-  // forced onto an aggressive cadence so resizes actually happen within
-  // the test's lifetime.
-  ExpectCompletesWithin(
-      [] {
-        Pipeline pipeline;
-        std::vector<int> input(200000);
-        std::iota(input.begin(), input.end(), 0);
-        BatchPolicy adaptive = BatchPolicy::Adaptive(32, 1, 256, 1);
-        adaptive.tune_every_records = 128;
-        StageOptions elastic{.capacity = 2,
-                             .batch = adaptive,
-                             .capacity_tuning = CapacityPolicy::Adaptive(2, 64)};
-        size_t seen = 0;
-        Flow<int>::FromVector(&pipeline, input, std::move(elastic))
-            .Fuse()
-            .Map<int>([](const int& x) { return x + 1; })
-            .Filter([](const int& x) { return (x & 1) == 0; })
-            .Emit({.capacity = 2,
-                   .capacity_tuning = CapacityPolicy::Adaptive(2, 64)})
-            .SinkWhile([&seen](const int&) { return ++seen < 10; });
-        pipeline.Run();
-        EXPECT_GE(seen, 10u);
-        // The elastic edges must still publish coherent tuner state.
-        for (const auto& m : pipeline.Report()) {
-          if (!m.capacity_tuned) continue;
-          EXPECT_GE(m.capacity, 2u);
-          EXPECT_LE(m.capacity_min, m.capacity_max);
-        }
-      },
-      10000);
-}
-
 TEST(KeyedFuseShutdownTest, CancelMidFusedPrefixPropagatesToSource) {
   // The sink walks away while the router is mid-prefix: the cancel must
   // cross the keyed boundary (worker → partition edge → router → source)
@@ -904,8 +846,8 @@ TEST(KeyedFuseShutdownTest, CancelMidFusedPrefixPropagatesToSource) {
 
 TEST(KeyedFuseShutdownTest, PerEdgeTunerTeardownUnderCancel) {
   // Adaptive batching on every edge of the fused-keyed stage (router
-  // input, each partition edge, output) plus elastic partition
-  // capacities, then a sink that walks away almost immediately: tuner
+  // input, each partition edge, output), then a sink that walks away
+  // almost immediately: tuner
   // teardown must not strand the router or any worker, and the composite
   // stage row must still surface coherent per-edge state.
   ExpectCompletesWithin(
@@ -925,8 +867,7 @@ TEST(KeyedFuseShutdownTest, PerEdgeTunerTeardownUnderCancel) {
             .Map<VRec>(MapFn)
             .KeyedProcessParallel<VRec, double>(
                 KeyFn, KeyedSumFn, /*parallelism=*/4, nullptr,
-                {.capacity = 4,
-                 .capacity_tuning = CapacityPolicy::Adaptive(2, 64)})
+                {.capacity = 4})
             .SinkWhile([&seen](const VRec&) { return ++seen < 10; });
         pipeline.Run();
         EXPECT_GE(seen, 10u);

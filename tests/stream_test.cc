@@ -871,6 +871,87 @@ TEST(PipelineMetricsTest, BackpressureShowsAsProducerBlockedTime) {
   EXPECT_GT(report[0].producer_blocked_ns, 0u);  // slow consumer visible
 }
 
+TEST(PipelineMetricsTest, StageNamesAreJsonEscaped) {
+  // Regression: the stage name used to be printed unescaped, so a quote
+  // in a user-chosen name made ReportJson (and every report embedding
+  // it) invalid JSON.
+  StageMetrics m;
+  m.stage = "clean \"fast\"\\\n";
+  EXPECT_NE(m.ToJson().find("{\"stage\":\"clean \\\"fast\\\"\\\\\\n\","),
+            std::string::npos)
+      << m.ToJson();
+
+  Pipeline pipeline;
+  std::vector<int> out;
+  Flow<int>::FromVector(&pipeline, {1, 2, 3}, {.name = "clean \"fast\""})
+      .CollectInto(&out);
+  pipeline.Run();
+  const std::string json = pipeline.ReportJson();
+  EXPECT_NE(json.find("\"stage\":\"clean \\\"fast\\\"\""), std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("\"clean \"fast\"\""), std::string::npos) << json;
+}
+
+TEST(PipelineMetricsTest, ReportJsonContractForReportConsumers) {
+  // Pins what external report readers (perfbench/run.py) take from
+  // ReportJson: every stage row carries the transport fields, keyed-
+  // parallel rows add skew_ratio and worker_edges, auto names keep their
+  // "<op>#<index>" spelling, and no capacity-controller keys remain.
+  using Pair = std::pair<uint64_t, int>;
+  using Window = std::pair<uint64_t, TumblingWindower<Pair, int>::WindowResult>;
+  auto key = [](const Pair& p) { return p.first; };
+  auto sum = [](const Pair& p, int& s, const std::function<void(Pair)>& emit) {
+    s += p.second;
+    emit(p);
+  };
+  std::vector<Pair> input;
+  for (int i = 0; i < 400; ++i) input.push_back({uint64_t(i % 7), i});
+  Pipeline pipeline;
+  auto keyed =
+      Flow<Pair>::FromVector(&pipeline, input,
+                             {.batch = BatchPolicy::Batched(16)})
+          .Map<Pair>([](const Pair& p) { return p; })
+          .KeyedProcess<Pair, int>(key, sum)
+          .KeyedProcessParallel<Pair, int>(key, sum, 2)
+          .Fuse()
+          .Map<Pair>([](const Pair& p) { return p; })
+          .Emit()
+          .Fuse()
+          .KeyedProcessParallel<Pair, int>(key, sum, 1);
+  std::vector<Window> windows;
+  keyed
+      .KeyedTumblingWindow<int>(
+          key, [](const Pair& p) { return TimeMs{p.second}; }, 100, 0,
+          [](int& acc, const Pair&, TimeMs) { ++acc; })
+      .FlatMap<Window>([](const Window& w) { return std::vector<Window>{w}; })
+      .Filter([](const Window&) { return true; })
+      .CollectInto(&windows);
+  pipeline.Run();
+  EXPECT_FALSE(windows.empty());
+
+  const std::vector<std::string> names = {
+      "source#0", "map#1",         "keyed#2",  "keyed_par#3", "fused#4",
+      "fused_keyed#5", "window#6", "flatmap#7", "filter#8"};
+  const std::vector<StageMetrics> report = pipeline.Report();
+  ASSERT_EQ(report.size(), names.size());
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(report[i].stage, names[i]);
+    const std::string row = report[i].ToJson();
+    for (const char* field : {"\"mean_batch_in\":", "\"producer_blocked_ns\":",
+                              "\"consumer_blocked_ns\":",
+                              "\"queue_high_watermark\":"}) {
+      EXPECT_NE(row.find(field), std::string::npos) << names[i] << field;
+    }
+    const bool parallel = names[i] == "keyed_par#3";
+    EXPECT_EQ(row.find("\"skew_ratio\":") != std::string::npos, parallel)
+        << row;
+    EXPECT_EQ(row.find("\"worker_edges\":[") != std::string::npos, parallel)
+        << row;
+  }
+  EXPECT_EQ(report[3].worker_edges.size(), 2u);
+  EXPECT_EQ(pipeline.ReportJson().find("\"capacity_"), std::string::npos);
+}
+
 // -------------------------------------- Pipeline: keyed tumbling windows
 
 TEST(PipelineWindowTest, KeyedTumblingWindowAggregatesAndCountsLate) {

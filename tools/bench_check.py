@@ -37,34 +37,21 @@ comparison; the google-benchmark suite is skipped), loads the
      (adjust_down > 0): the consumer turns slow halfway through and a
      controller that never shrinks its target is broken.
 
-4. **Capacity-tuner gates** — the elastic-capacity sweep
-   (``pipeline_capacity/*``, a bursty-stall consumer where the channel
-   bound matters) must show the adaptive controller earning its keep:
+4. **Linger gates** — the staging-delay rows (``pipeline_latency/*``,
+   a trickling source against a large max_batch so flush timing
+   dominates):
 
-   - ``pipeline_capacity/adaptive`` must reach at least
-     ``--min-capacity-ratio`` of the best *static* capacity row from
-     the same run (default 0.85 — same contract as the batch tuner:
-     near-best-static without hand-picking the bound).
-   - It must actually have resized (capacity_resize_up > 0) and its
-     final bound must sit inside [capacity_min, capacity_max].
-
-5. **Latency-budget gates** — the staging-delay rows
-   (``pipeline_latency/*``, a trickling source against a large
-   max_batch so flush timing dominates):
-
-   - ``pipeline_latency/budget50`` p99 staging delay must stay within
-     ``--budget-tolerance`` x its declared budget_ms (default 1.3x:
-     the budget is enforced by a polling linger loop, so scheduler
-     jitter adds up to one poll interval on top).
-   - The unbudgeted linger row must be *slower* than the budgeted row
-     (sanity: the budget visibly tightened the tail; if linger200's
-     p99 is not above budget50's, the rows measure nothing).
+   - ``pipeline_latency/linger50`` p99 staging delay must stay within
+     ``--budget-tolerance`` x its linger_ms (default 1.3x: the linger
+     is a polled deadline, so scheduler jitter adds slack on top).
+   - The ``linger200`` row must be *slower* than ``linger50`` (sanity:
+     if its p99 is not above linger50's, the rows measure nothing).
 
 Also asserts the PR 3 acceptance invariant directly on the fresh
 measurement: the channel-transfer row at batch 64 must be at least
 ``--min-batch-speedup`` (default 3x) faster than record-at-a-time.
 
-6. **Partitioned-log gates** — runs ``bench_mlog --smoke`` and checks
+5. **Partitioned-log gates** — runs ``bench_mlog --smoke`` and checks
    the partition-sweep rows in ``BENCH_mlog.json`` (the skewed
    million-key vessel workload, one producer thread per partition):
 
@@ -78,7 +65,7 @@ measurement: the channel-transfer row at batch 64 must be at least
      (>= 0.35x) below 4 hardware threads, since a CPU-bound append
      cannot scale past the core count.
 
-7. **Scenario SLO gates** — runs ``bench_scenario --smoke`` (the
+6. **Scenario SLO gates** — runs ``bench_scenario --smoke`` (the
    open-loop city-scale harness) and checks ``BENCH_scenario.json``:
 
    - all three arms (``scenario/steady``, ``scenario/diurnal``,
@@ -98,7 +85,7 @@ measurement: the channel-transfer row at batch 64 must be at least
      and ``recovery_ms <= --max-recovery-ms`` (doubled below 4
      hardware threads).
 
-8. **Spatial-index gates** — runs ``bench_link_discovery --smoke``
+7. **Spatial-index gates** — runs ``bench_link_discovery --smoke``
    and checks the grid-vs-rtree sweep rows in
    ``BENCH_linkdiscovery.json`` (250k points, radius queries at stored
    points, one clustered and one uniform distribution):
@@ -118,7 +105,7 @@ measurement: the channel-transfer row at batch 64 must be at least
      rtree actually *wins* at the benched ~61 points/cell density).
      Relaxed x1.5 below 4 hardware threads.
 
-9. **Triplestore star-join gates** — runs ``bench_store_starjoin
+8. **Triplestore star-join gates** — runs ``bench_store_starjoin
    --smoke`` and checks the plan-comparison rows in
    ``BENCH_store.json`` (a clustered-entity graph where 1-in-16
    position nodes carry the full star of predicates):
@@ -139,7 +126,7 @@ measurement: the channel-transfer row at batch 64 must be at least
      Relaxed to 2.0 below 4 hardware threads, where the scan plan's
      worker pool cannot parallelize.
 
-10. **RDF enrichment gates** — runs ``bench_rdf_generation --smoke``
+9. **RDF enrichment gates** — runs ``bench_rdf_generation --smoke``
     and checks the batch-vs-fused rows in ``BENCH_rdf.json``:
 
     - ``rdf/generation/batch`` (tight TripleGenerator::Run loop) and
@@ -156,9 +143,9 @@ measurement: the channel-transfer row at batch 64 must be at least
       collapse by an order of magnitude). Relaxed to 0.10 below 4
       hardware threads, where the stage threads oversubscribe.
 
-11. **Keyed-fusion gates** — the keyed-terminal fusion rows in
+10. **Keyed-fusion gates** — the keyed-terminal fusion rows in
     ``BENCH_micro.json`` (same ``bench_micro --smoke`` run as gates
-    1-5):
+    1-4):
 
     - ``keyed_fusion/fused_keyed`` (stateless prefix running inside
       the partition router) must beat ``keyed_fusion/two_hop`` (prefix
@@ -188,7 +175,6 @@ Usage:
                          [--tolerance 3.0] [--ratio-tolerance 1.8]
                          [--min-batch-speedup 3.0]
                          [--min-adaptive-ratio 0.85]
-                         [--min-capacity-ratio 0.85]
                          [--budget-tolerance 1.3]
                          [--min-partition-speedup 2.0]
                          [--max-recovery-ms 2000]
@@ -217,15 +203,6 @@ STATIC_SWEEP = [
     "pipeline/batched16",
     "pipeline/batched64",
     "pipeline/batched256",
-]
-
-# Static channel bounds the elastic CapacityTuner is compared against
-# (gate 4). bench_micro runs these against a bursty-stall consumer so
-# the capacity choice actually shows up in throughput.
-CAPACITY_SWEEP = [
-    "pipeline_capacity/static64",
-    "pipeline_capacity/static1024",
-    "pipeline_capacity/static8192",
 ]
 
 # (numerator, denominator) pairs whose measured ratio must stay within
@@ -358,86 +335,42 @@ def check_tuner(measured, min_adaptive_ratio, failures):
                 "the controller ignored the slow consumer")
 
 
-def check_capacity(measured, min_capacity_ratio, failures):
-    adaptive = measured.get("pipeline_capacity/adaptive")
-    if not adaptive:
-        failures.append("pipeline_capacity/adaptive row missing")
-        return
-    if "capacity_resize_up" not in adaptive:
-        failures.append("pipeline_capacity/adaptive has no capacity_* "
-                        "fields — the elastic edge lost its CapacityTuner")
-        return
-
-    cap = adaptive["capacity"]
-    lo = adaptive["capacity_min"]
-    hi = adaptive["capacity_max"]
-    print(f"\ncapacity tuner: bound={cap} range=[{lo},{hi}] "
-          f"up={adaptive['capacity_resize_up']} "
-          f"down={adaptive['capacity_resize_down']} "
-          f"converged={adaptive['capacity_converged']}")
-    if not lo <= cap <= hi:
-        failures.append(f"elastic capacity {cap} escaped [{lo}, {hi}]")
-    if adaptive["capacity_resize_up"] == 0:
-        failures.append(
-            "elastic capacity never grew under a bursty-stall consumer "
-            "that saturates the seed bound (capacity_resize_up == 0)")
-
-    best_static = max(
-        (measured[n]["records_per_s"]
-         for n in CAPACITY_SWEEP if n in measured),
-        default=0.0)
-    if best_static > 0:
-        ratio = adaptive["records_per_s"] / best_static
-        ok = ratio >= min_capacity_ratio
-        print(f"adaptive capacity vs best static bound: {ratio:.2f}x "
-              f"(required >= {min_capacity_ratio:g}x)"
-              f"{'' if ok else '  << FAIL'}")
-        if not ok:
-            failures.append(
-                f"adaptive capacity row at {ratio:.2f}x of best static "
-                f"bound < {min_capacity_ratio:g}x")
-    else:
-        failures.append(
-            "pipeline_capacity static sweep rows missing; cannot rate "
-            "the elastic controller")
-
-
 def check_latency(measured, budget_tolerance, failures):
-    budgeted = measured.get("pipeline_latency/budget50")
-    unbudgeted = measured.get("pipeline_latency/linger200")
-    if not budgeted or "p99_ms" not in budgeted:
-        failures.append("pipeline_latency/budget50 p99 row missing")
+    short = measured.get("pipeline_latency/linger50")
+    long = measured.get("pipeline_latency/linger200")
+    if not short or "p99_ms" not in short:
+        failures.append("pipeline_latency/linger50 p99 row missing")
         return
-    p99 = budgeted["p99_ms"]
-    budget = budgeted.get("budget_ms", -1)
-    if budget <= 0:
-        failures.append("pipeline_latency/budget50 carries no budget_ms")
+    p99 = short["p99_ms"]
+    linger = short.get("linger_ms", -1)
+    if linger <= 0:
+        failures.append("pipeline_latency/linger50 carries no linger_ms")
         return
-    limit = budget * budget_tolerance
+    limit = linger * budget_tolerance
     ok = p99 <= limit
-    print(f"\nlatency budget: budget50 p99={p99:.2f}ms vs "
-          f"budget {budget}ms x {budget_tolerance:g} = {limit:.1f}ms"
+    print(f"\nlinger bound: linger50 p99={p99:.2f}ms vs "
+          f"linger {linger}ms x {budget_tolerance:g} = {limit:.1f}ms"
           f"{'' if ok else '  << FAIL'}")
     if not ok:
         failures.append(
-            f"budgeted staging p99 {p99:.2f}ms > {budget}ms budget x "
+            f"linger50 staging p99 {p99:.2f}ms > {linger}ms linger x "
             f"{budget_tolerance:g} tolerance")
-    if unbudgeted and "p99_ms" in unbudgeted:
-        ok = unbudgeted["p99_ms"] > p99
-        print(f"unbudgeted linger p99={unbudgeted['p99_ms']:.2f}ms "
-              f"(must exceed budgeted p99)"
+    if long and "p99_ms" in long:
+        ok = long["p99_ms"] > p99
+        print(f"linger200 p99={long['p99_ms']:.2f}ms "
+              f"(must exceed linger50 p99)"
               f"{'' if ok else '  << FAIL'}")
         if not ok:
             failures.append(
-                "unbudgeted linger row p99 did not exceed the budgeted "
-                "row — the budget gate is measuring nothing")
+                "linger200 row p99 did not exceed linger50's — the "
+                "linger gate is measuring nothing")
     else:
         failures.append("pipeline_latency/linger200 p99 row missing")
 
 
 def check_keyed_fusion(measured, min_keyed_fusion_ratio, failures):
     """Gates the keyed-terminal fusion + skew-aware tuning rows (gate
-    11; part of the micro suite)."""
+    10; part of the micro suite)."""
     two_hop = measured.get("keyed_fusion/two_hop")
     fused = measured.get("keyed_fusion/fused_keyed")
     if not two_hop or not fused or not two_hop.get("records_per_s"):
@@ -495,7 +428,7 @@ def check_keyed_fusion(measured, min_keyed_fusion_ratio, failures):
 
 
 def check_mlog(rows, min_partition_speedup, failures):
-    """Gates the bench_mlog partition-sweep rows (gate 6)."""
+    """Gates the bench_mlog partition-sweep rows (gate 5)."""
     sweep = {r["partitions"]: r for r in rows if "partitions" in r}
     print(f"\n{'partitions':>10} {'append rec/s':>14} {'replay rec/s':>14}")
     for want in (1, 4, 16):
@@ -536,7 +469,7 @@ def check_mlog(rows, min_partition_speedup, failures):
 
 def check_scenario(rows, budget_tolerance, max_recovery_ms, min_chaos_spike,
                    failures):
-    """Gates the open-loop scenario arms (gate 7)."""
+    """Gates the open-loop scenario arms (gate 6)."""
     arms = {r["name"]: r for r in rows}
     print(f"\n{'scenario arm':<20} {'p99ms':>8} {'p999ms':>9} {'cons':>7} "
           f"{'gaps':>5} {'dups':>5} {'rst':>4} {'recov':>6}")
@@ -618,7 +551,7 @@ def check_scenario(rows, budget_tolerance, max_recovery_ms, min_chaos_spike,
 
 def check_linkdiscovery(rows, min_clustered_speedup, max_uniform_ratio,
                         failures):
-    """Gates the grid-vs-rtree spatial index sweep (gate 8)."""
+    """Gates the grid-vs-rtree spatial index sweep (gate 7)."""
     arms = {r["name"]: r for r in rows}
     print(f"\n{'index arm':<36} {'queries/s':>12} {'matches':>10}")
     for dist in ("clustered", "uniform"):
@@ -682,7 +615,7 @@ def check_linkdiscovery(rows, min_clustered_speedup, max_uniform_ratio,
 
 
 def check_store(rows, min_adjacency_speedup, failures):
-    """Gates the star-join plan comparison (gate 9)."""
+    """Gates the star-join plan comparison (gate 8)."""
     arms = {r["name"]: r for r in rows}
     trios = {
         "clustered": ["store/starjoin/clustered/scan",
@@ -738,7 +671,7 @@ def check_store(rows, min_adjacency_speedup, failures):
 
 
 def check_rdf(rows, min_fused_ratio, failures):
-    """Gates the batch-vs-fused RDF enrichment rows (gate 10)."""
+    """Gates the batch-vs-fused RDF enrichment rows (gate 9)."""
     arms = {r["name"]: r for r in rows}
     print(f"\n{'rdf arm':<24} {'records':>9} {'triples':>9} "
           f"{'records/s':>11}")
@@ -813,15 +746,10 @@ def main():
              "best static sweep row from the same run (default 0.85)",
     )
     parser.add_argument(
-        "--min-capacity-ratio", type=float, default=0.85,
-        help="required pipeline_capacity/adaptive throughput as a "
-             "fraction of the best static capacity row from the same "
-             "run (default 0.85)",
-    )
-    parser.add_argument(
         "--budget-tolerance", type=float, default=1.3,
-        help="allowed pipeline_latency/budget50 p99 as a multiple of "
-             "its declared budget_ms (default 1.3; covers linger-poll "
+        help="allowed pipeline_latency/linger50 p99 as a multiple of "
+             "its linger_ms, and the scenario steady-arm p99 as a "
+             "multiple of its budget_ms (default 1.3; covers linger-poll "
              "granularity and scheduler jitter)",
     )
     parser.add_argument(
@@ -962,7 +890,6 @@ def main():
         check_absolute(measured, baseline, args.tolerance, failures)
         check_relative(measured, baseline, args.ratio_tolerance, failures)
         check_tuner(measured, args.min_adaptive_ratio, failures)
-        check_capacity(measured, args.min_capacity_ratio, failures)
         check_latency(measured, args.budget_tolerance, failures)
         check_keyed_fusion(measured, args.min_keyed_fusion_ratio, failures)
 

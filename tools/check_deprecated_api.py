@@ -99,6 +99,16 @@ def find_deprecated_declarations(text):
             for m in DEPRECATED_ATTR_RE.finditer(clean)]
 
 
+def is_digit_separator(text, i):
+    """True when the `'` at text[i] sits inside a numeric literal — a
+    C++14 digit separator such as 10'000 or 0xFF'FF — rather than opening
+    a char literal (which may carry a prefix, as in u8'a')."""
+    j = i
+    while j > 0 and (text[j - 1].isalnum() or text[j - 1] in "'."):
+        j -= 1
+    return j < i and text[j].isdigit()
+
+
 def strip_comments_and_strings(text):
     """Remove comments; collapse string/char literals to `""`/`''`.
 
@@ -120,6 +130,9 @@ def strip_comments_and_strings(text):
             # Preserve newlines inside the comment for line numbers.
             out.append("\n" * text.count("\n", i, j))
             i = j
+        elif c == "'" and is_digit_separator(text, i):
+            out.append(c)
+            i += 1
         elif c == '"' or c == "'":
             quote = c
             j = i + 1
