@@ -41,6 +41,72 @@ const rdf::Posting* Gallop(const rdf::Posting* cur, const rdf::Posting* end,
       [](const rdf::Posting& p, uint64_t key) { return p.key < key; });
 }
 
+// Smallest object of (s, p) in the forward postings, or 0 (no term)
+// when `s` carries no `p`.
+uint64_t FirstObject(const rdf::AdjacencyIndex& index, uint64_t p,
+                     uint64_t s) {
+  auto [lo, hi] = index.ObjectsOf(p, s);
+  return lo == hi ? 0 : lo->value;
+}
+
+bool HasAllPredicates(const rdf::AdjacencyIndex& index,
+                      const std::vector<uint64_t>& predicates) {
+  return std::all_of(predicates.begin(), predicates.end(),
+                     [&](uint64_t p) { return index.Stats(p) != nullptr; });
+}
+
+// Stats-ordered postings intersection: drives from the predicate with
+// the fewest distinct subjects, then leapfrogs the other forward
+// postings with galloping cursors (monotonic — each list is walked at
+// most once). Calls `fn(row)` per subject carrying every predicate, in
+// ascending subject order, bound to its smallest object per predicate.
+// Every predicate must be indexed (HasAllPredicates). Returns the
+// postings visited plus the probes made.
+template <typename Fn>
+size_t IntersectPostings(const rdf::AdjacencyIndex& index,
+                         const std::vector<uint64_t>& predicates, Fn&& fn) {
+  const size_t k = predicates.size();
+  if (k == 0) return 0;
+  std::vector<rdf::AdjacencyIndex::Span> spans(k);
+  for (size_t i = 0; i < k; ++i) spans[i] = index.Subjects(predicates[i]);
+  std::vector<size_t> ord(k);
+  std::iota(ord.begin(), ord.end(), 0);
+  std::sort(ord.begin(), ord.end(), [&](size_t a, size_t b) {
+    return index.Stats(predicates[a])->distinct_subjects <
+           index.Stats(predicates[b])->distinct_subjects;
+  });
+  std::vector<const rdf::Posting*> cur(k);
+  for (size_t i = 0; i < k; ++i) cur[i] = spans[i].first;
+
+  size_t scanned = 0;
+  const size_t driver = ord[0];
+  const rdf::Posting* d = spans[driver].first;
+  const rdf::Posting* d_end = spans[driver].second;
+  while (d != d_end) {
+    StarRow row;
+    row.subject = d->key;
+    row.objects.assign(k, 0);
+    row.objects[driver] = d->value;  // smallest object of the run
+    // Skip the rest of the equal-subject run.
+    do {
+      ++scanned;
+      ++d;
+    } while (d != d_end && d->key == row.subject);
+
+    bool complete = true;
+    for (size_t j = 1; j < k && complete; ++j) {
+      const size_t slot = ord[j];
+      ++scanned;  // one galloping probe
+      cur[slot] = Gallop(cur[slot], spans[slot].second, row.subject);
+      complete = cur[slot] != spans[slot].second &&
+                 cur[slot]->key == row.subject;
+      if (complete) row.objects[slot] = cur[slot]->value;
+    }
+    if (complete) fn(std::move(row));
+  }
+  return scanned;
+}
+
 }  // namespace
 
 const char* StarPlanName(StarPlan plan) {
@@ -65,19 +131,19 @@ const char* StarPlanName(StarPlan plan) {
 
 KnowledgeStore::KnowledgeStore(const geom::StCellEncoder& encoder,
                                size_t partitions)
-    : encoder_(encoder), partitions_(partitions == 0 ? 1 : partitions) {
+    : encoder_(encoder), partition_count_(partitions == 0 ? 1 : partitions) {
   // Intern the vocabulary the ingest fast path and the exact st-filter
   // compare against, so neither ever pays a per-call string lookup.
-  stcell_pid_ = dict_.Encode(rdf::Iri(rdf::vocab::kHasStCell));
-  wkt_pid_ = dict_.Encode(rdf::Iri(rdf::vocab::kAsWKT));
-  ts_pid_ = dict_.Encode(rdf::Iri(rdf::vocab::kHasTimestamp));
+  rdf::Dictionary& dict = graph_.dictionary();
+  stcell_pid_ = dict.Encode(rdf::Iri(rdf::vocab::kHasStCell));
+  wkt_pid_ = dict.Encode(rdf::Iri(rdf::vocab::kAsWKT));
+  ts_pid_ = dict.Encode(rdf::Iri(rdf::vocab::kHasTimestamp));
 }
 
 void KnowledgeStore::Add(const rdf::Triple& triple) {
-  rdf::EncodedTriple enc = dict_.Encode(triple);
-  partitions_[next_partition_].push_back(enc);
-  next_partition_ = (next_partition_ + 1) % partitions_.size();
-  ++total_triples_;
+  const rdf::EncodedTriple enc = graph_.dictionary().Encode(triple);
+  graph_.AddEncoded(enc);
+  property_tables_.clear();
   cum_added_.fetch_add(1, std::memory_order_relaxed);
   // hasStCell integer literals feed the subject -> st-cell side index so
   // streamed template ingestion keeps the pushdown plans usable.
@@ -86,7 +152,6 @@ void KnowledgeStore::Add(const rdf::Triple& triple) {
       subject_stcell_[enc.s] = static_cast<uint64_t>(cell.value());
     }
   }
-  compiled_ = false;
 }
 
 void KnowledgeStore::AddPositionNode(const rdf::Term& subject, double lon,
@@ -99,60 +164,25 @@ void KnowledgeStore::AddPositionNode(const rdf::Term& subject, double lon,
                                     rdf::vocab::kWktLiteral)});
   Add(rdf::Triple{subject, rdf::Iri(rdf::vocab::kHasTimestamp),
                   rdf::IntLiteral(t)});
-  uint64_t sid = dict_.Encode(subject);
+  uint64_t sid = graph_.dictionary().Encode(subject);
   subject_stcell_[sid] = cell;
   subject_pos_[sid] = {lon, lat, t};
 }
 
-void KnowledgeStore::Compile() {
-  vertical_.clear();
-  std::vector<rdf::EncodedTriple> all;
-  all.reserve(total_triples_);
-  for (const auto& partition : partitions_) {
-    for (const rdf::EncodedTriple& t : partition) {
-      vertical_[t.p].push_back({t.s, t.o});
-      all.push_back(t);
-    }
-  }
-  for (auto& [p, list] : vertical_) {
-    std::sort(list.begin(), list.end(), [](const SO& a, const SO& b) {
-      return a.s < b.s || (a.s == b.s && a.o < b.o);
-    });
-  }
-  adjacency_.Build(all);
-  compiled_ = true;
-  property_tables_.clear();
-}
+void KnowledgeStore::Compile() { graph_.index(); }
 
 void KnowledgeStore::BuildPropertyTable(
     const std::vector<uint64_t>& predicate_ids) {
-  if (!compiled_) Compile();
+  // Complete rows only: the property table materializes the star join.
+  const rdf::AdjacencyIndex& index = graph_.index();
   PropertyTable table;
   table.columns = predicate_ids;
-  // Subjects = those appearing in every requested column (complete rows
-  // only: the property table materializes the star join).
-  std::unordered_map<uint64_t, std::vector<uint64_t>> rows;
-  for (size_t col = 0; col < predicate_ids.size(); ++col) {
-    auto it = vertical_.find(predicate_ids[col]);
-    if (it == vertical_.end()) {
-      property_tables_.push_back(std::move(table));
-      return;  // empty table: one column has no triples
-    }
-    for (const SO& so : it->second) {
-      auto [rit, inserted] = rows.try_emplace(
-          so.s, std::vector<uint64_t>(predicate_ids.size(), 0));
-      if (rit->second[col] == 0) rit->second[col] = so.o;
-    }
+  if (HasAllPredicates(index, predicate_ids)) {
+    IntersectPostings(index, predicate_ids, [&](StarRow row) {
+      table.subjects.push_back(row.subject);
+      table.rows.push_back(std::move(row.objects));
+    });
   }
-  for (auto& [s, row] : rows) {
-    bool complete = true;
-    for (uint64_t o : row) complete = complete && o != 0;
-    if (!complete) continue;
-    table.subjects.push_back(s);
-  }
-  std::sort(table.subjects.begin(), table.subjects.end());
-  table.rows.reserve(table.subjects.size());
-  for (uint64_t s : table.subjects) table.rows.push_back(rows[s]);
   property_tables_.push_back(std::move(table));
 }
 
@@ -177,22 +207,12 @@ bool KnowledgeStore::ExactStMatch(
   // Deliberately pays the realistic post-processing cost: fetch the WKT
   // and timestamp literals of the subject and parse them, exactly what a
   // layout without pushdown has to do for every candidate.
-  auto fetch = [&](uint64_t pid) -> const SO* {
-    auto it = vertical_.find(pid);
-    if (it == vertical_.end()) return nullptr;
-    const std::vector<SO>& list = it->second;
-    auto pos = std::lower_bound(
-        list.begin(), list.end(), subject,
-        [](const SO& so, uint64_t s) { return so.s < s; });
-    if (pos == list.end() || pos->s != subject) return nullptr;
-    return &*pos;
-  };
-  const SO* wkt = fetch(wkt_pid_);
-  const SO* ts = fetch(ts_pid_);
-  if (wkt == nullptr || ts == nullptr) return false;
-
-  std::optional<rdf::Term> wkt_term = dict_.Decode(wkt->o);
-  std::optional<rdf::Term> ts_term = dict_.Decode(ts->o);
+  const rdf::AdjacencyIndex& index = graph_.index();
+  const rdf::Dictionary& dict = graph_.dictionary();
+  std::optional<rdf::Term> wkt_term =
+      dict.Decode(FirstObject(index, wkt_pid_, subject));
+  std::optional<rdf::Term> ts_term =
+      dict.Decode(FirstObject(index, ts_pid_, subject));
   if (!wkt_term || !ts_term) return false;
   Result<geom::LonLat> point = geom::ParseWktPoint(wkt_term->lexical);
   Result<long long> t = ParseInt(ts_term->lexical);
@@ -219,8 +239,8 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
   std::vector<StarRow> rows;
   const size_t k = query.predicate_ids.size();
 
-  auto finish = [&](std::vector<StarRow> result) {
-    local.rows = result.size();
+  auto finish = [&] {
+    local.rows = rows.size();
     local.wall_ms = ElapsedMs(start);
     cum_queries_.fetch_add(1, std::memory_order_relaxed);
     cum_rows_.fetch_add(local.rows, std::memory_order_relaxed);
@@ -228,42 +248,51 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
     cum_st_filters_.fetch_add(local.st_filter_evaluations,
                               std::memory_order_relaxed);
     if (metrics != nullptr) *metrics = local;
-    return result;
+    return std::move(rows);
+  };
+  // Every plan ends alike: count the candidate, run the exact st check
+  // when the query has a box, keep the row.
+  auto accept = [&](StarRow row) {
+    ++local.candidate_subjects;
+    if (query.has_st_constraint) {
+      ++local.st_filter_evaluations;
+      if (!ExactStMatch(row.subject, query.st_box)) return;
+    }
+    rows.push_back(std::move(row));
   };
 
-  if (k == 0) return finish({});
+  if (k == 0) return finish();
 
   if (plan == StarPlan::kTriplesTableScan) {
-    // Full scan of every partition, hash-joining subject -> slot values.
-    // Partition groups are scanned by parallel workers.
-    size_t workers = std::min<size_t>(
-        partitions_.size(),
+    // Full scan of the triples table, hash-joining subject -> slot
+    // values. Contiguous slices of the table go to parallel workers.
+    const std::vector<rdf::EncodedTriple>& table = graph_.triples();
+    const size_t workers = std::min<size_t>(
+        partition_count_,
         std::max<unsigned>(1, std::thread::hardware_concurrency()));
     std::vector<std::unordered_map<uint64_t, std::vector<uint64_t>>> maps(
         workers);
-    std::vector<size_t> scanned(workers, 0);
     std::vector<std::thread> threads;
     for (size_t w = 0; w < workers; ++w) {
       threads.emplace_back([&, w] {
-        for (size_t pi = w; pi < partitions_.size(); pi += workers) {
-          for (const rdf::EncodedTriple& t : partitions_[pi]) {
-            ++scanned[w];
-            for (size_t slot = 0; slot < k; ++slot) {
-              if (t.p == query.predicate_ids[slot]) {
-                auto [it, inserted] = maps[w].try_emplace(
-                    t.s, std::vector<uint64_t>(k, 0));
-                if (it->second[slot] == 0) it->second[slot] = t.o;
-              }
+        const size_t end = table.size() * (w + 1) / workers;
+        for (size_t i = table.size() * w / workers; i < end; ++i) {
+          const rdf::EncodedTriple& t = table[i];
+          for (size_t slot = 0; slot < k; ++slot) {
+            if (t.p == query.predicate_ids[slot]) {
+              auto [it, inserted] = maps[w].try_emplace(
+                  t.s, std::vector<uint64_t>(k, 0));
+              if (it->second[slot] == 0) it->second[slot] = t.o;
             }
           }
         }
       });
     }
     for (std::thread& t : threads) t.join();
+    local.triples_scanned = table.size();
 
     std::unordered_map<uint64_t, std::vector<uint64_t>> merged;
     for (size_t w = 0; w < workers; ++w) {
-      local.triples_scanned += scanned[w];
       for (auto& [s, slots] : maps[w]) {
         auto [it, inserted] = merged.try_emplace(s, slots);
         if (!inserted) {
@@ -274,26 +303,18 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
       }
     }
     for (auto& [s, slots] : merged) {
-      bool complete = std::all_of(slots.begin(), slots.end(),
-                                  [](uint64_t o) { return o != 0; });
-      if (!complete) continue;
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
+      if (std::all_of(slots.begin(), slots.end(),
+                      [](uint64_t o) { return o != 0; })) {
+        accept({s, std::move(slots)});
       }
-      rows.push_back({s, slots});
     }
-    return finish(std::move(rows));
+    return finish();
   }
-
-  // The remaining layouts require Compile().
-  if (!compiled_) return finish({});
 
   if (plan == StarPlan::kPropertyTable ||
       plan == StarPlan::kPropertyTablePushdown) {
     const PropertyTable* table = FindPropertyTable(query.predicate_ids);
-    if (table == nullptr) return finish({});
+    if (table == nullptr) return finish();
     // Map query slots to table columns.
     std::vector<size_t> col_of(k);
     for (size_t i = 0; i < k; ++i) {
@@ -314,214 +335,113 @@ std::vector<StarRow> KnowledgeStore::RunStar(const StarQuery& query,
           continue;
         }
       }
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
-      }
       StarRow row;
       row.subject = s;
       row.objects.reserve(k);
       for (size_t slot = 0; slot < k; ++slot) {
         row.objects.push_back(table->rows[i][col_of[slot]]);
       }
-      rows.push_back(std::move(row));
+      accept(std::move(row));
     }
-    return finish(std::move(rows));
+    return finish();
   }
 
-  if (plan == StarPlan::kAdjacencyIndex ||
-      plan == StarPlan::kAdjacencyIndexPushdown) {
-    // Per-predicate sorted postings + stats from the adjacency index.
-    std::vector<rdf::AdjacencyIndex::Span> spans(k);
-    std::vector<const rdf::PredicateStats*> stats(k);
-    for (size_t i = 0; i < k; ++i) {
-      stats[i] = adjacency_.Stats(query.predicate_ids[i]);
-      if (stats[i] == nullptr) return finish({});
-      spans[i] = adjacency_.Subjects(query.predicate_ids[i]);
-    }
+  // The remaining plans read the graph's forward postings.
+  const rdf::AdjacencyIndex& index = graph_.index();
+  if (!HasAllPredicates(index, query.predicate_ids)) return finish();
 
-    if (plan == StarPlan::kAdjacencyIndexPushdown &&
-        query.has_st_constraint) {
-      // Integer st-cell pre-filter, then one postings probe per slot.
-      for (const auto& [s, cell] : subject_stcell_) {
-        ++local.triples_scanned;  // side-index probe (integer compare)
-        if (!encoder_.MayIntersect(cell, query.st_box)) continue;
-        StarRow row;
-        row.subject = s;
-        row.objects.assign(k, 0);
-        bool complete = true;
-        for (size_t i = 0; i < k && complete; ++i) {
-          ++local.triples_scanned;  // one indexed probe
-          auto [lo, hi] = adjacency_.ObjectsOf(query.predicate_ids[i], s);
-          if (lo == hi) {
-            complete = false;
-          } else {
-            row.objects[i] = lo->value;  // smallest object: (s,o)-sorted
-          }
-        }
-        if (!complete) continue;
-        ++local.candidate_subjects;
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
-        rows.push_back(std::move(row));
-      }
-      return finish(std::move(rows));
-    }
-
-    // Stats-ordered postings intersection: drive from the predicate with
-    // the fewest distinct subjects, then leapfrog the other lists with
-    // galloping cursors (monotonic — each list is walked at most once).
-    std::vector<size_t> ord(k);
-    std::iota(ord.begin(), ord.end(), 0);
-    std::sort(ord.begin(), ord.end(), [&](size_t a, size_t b) {
-      return stats[a]->distinct_subjects < stats[b]->distinct_subjects;
-    });
-    std::vector<const rdf::Posting*> cur(k);
-    for (size_t i = 0; i < k; ++i) cur[i] = spans[i].first;
-
-    const size_t driver = ord[0];
-    const rdf::Posting* d = spans[driver].first;
-    const rdf::Posting* d_end = spans[driver].second;
-    while (d != d_end) {
-      const uint64_t s = d->key;
-      const uint64_t driver_obj = d->value;  // smallest object of the run
-      // Skip the rest of the equal-subject run.
-      do {
-        ++local.triples_scanned;
-        ++d;
-      } while (d != d_end && d->key == s);
-
+  if (query.has_st_constraint &&
+      (plan == StarPlan::kVerticalPartitionPushdown ||
+       plan == StarPlan::kAdjacencyIndexPushdown)) {
+    // Both pushdown plans: integer st-cell pre-filter over the side
+    // index, then one postings probe per predicate. Without a box they
+    // fall through to their base plans below.
+    for (const auto& [s, cell] : subject_stcell_) {
+      ++local.triples_scanned;  // side-index probe (integer compare)
+      if (!encoder_.MayIntersect(cell, query.st_box)) continue;
       StarRow row;
       row.subject = s;
       row.objects.assign(k, 0);
-      row.objects[driver] = driver_obj;
       bool complete = true;
-      for (size_t j = 1; j < k && complete; ++j) {
-        const size_t slot = ord[j];
-        ++local.triples_scanned;  // one galloping probe
-        cur[slot] = Gallop(cur[slot], spans[slot].second, s);
-        if (cur[slot] == spans[slot].second || cur[slot]->key != s) {
-          complete = false;
-        } else {
-          row.objects[slot] = cur[slot]->value;
-        }
+      for (size_t i = 0; i < k && complete; ++i) {
+        ++local.triples_scanned;  // one indexed probe
+        row.objects[i] = FirstObject(index, query.predicate_ids[i], s);
+        complete = row.objects[i] != 0;
       }
-      if (!complete) continue;
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(s, query.st_box)) continue;
-      }
-      rows.push_back(std::move(row));
+      if (complete) accept(std::move(row));
     }
-    return finish(std::move(rows));
+    return finish();
   }
 
-  // Gather the per-predicate sorted lists.
-  std::vector<const std::vector<SO>*> lists;
-  for (uint64_t pid : query.predicate_ids) {
-    auto it = vertical_.find(pid);
-    if (it == vertical_.end()) return finish({});
-    lists.push_back(&it->second);
-  }
-
-  auto probe = [&](const std::vector<SO>& list, uint64_t s) -> uint64_t {
-    auto pos =
-        std::lower_bound(list.begin(), list.end(), s,
-                         [](const SO& so, uint64_t key) { return so.s < key; });
-    if (pos == list.end() || pos->s != s) return 0;
-    return pos->o;
-  };
-
-  if (plan == StarPlan::kVerticalPartition) {
-    // Drive from the smallest predicate list.
+  if (plan == StarPlan::kVerticalPartition ||
+      plan == StarPlan::kVerticalPartitionPushdown) {
+    // Drive from the predicate with the fewest triples; binary-search
+    // the others' postings per distinct driver subject.
     size_t driver = 0;
     for (size_t i = 1; i < k; ++i) {
-      if (lists[i]->size() < lists[driver]->size()) driver = i;
+      if (index.Stats(query.predicate_ids[i])->triples <
+          index.Stats(query.predicate_ids[driver])->triples) {
+        driver = i;
+      }
     }
-    local.triples_scanned += lists[driver]->size();
-    uint64_t prev_s = 0;
-    for (const SO& so : *lists[driver]) {
-      if (so.s == prev_s) continue;  // distinct subjects
-      prev_s = so.s;
+    auto [d, d_end] = index.Subjects(query.predicate_ids[driver]);
+    local.triples_scanned += static_cast<size_t>(d_end - d);
+    for (uint64_t prev_s = 0; d != d_end; ++d) {
+      if (d->key == prev_s) continue;  // distinct subjects
+      prev_s = d->key;
       StarRow row;
-      row.subject = so.s;
+      row.subject = d->key;
       row.objects.assign(k, 0);
-      row.objects[driver] = so.o;
+      row.objects[driver] = d->value;
       bool complete = true;
       for (size_t i = 0; i < k && complete; ++i) {
         if (i == driver) continue;
-        local.triples_scanned += 1;  // one indexed probe
-        row.objects[i] = probe(*lists[i], so.s);
-        if (row.objects[i] == 0) complete = false;
+        ++local.triples_scanned;  // one indexed probe
+        row.objects[i] = FirstObject(index, query.predicate_ids[i], d->key);
+        complete = row.objects[i] != 0;
       }
-      if (!complete) continue;
-      ++local.candidate_subjects;
-      if (query.has_st_constraint) {
-        ++local.st_filter_evaluations;
-        if (!ExactStMatch(so.s, query.st_box)) continue;
-      }
-      rows.push_back(std::move(row));
+      if (complete) accept(std::move(row));
     }
-    return finish(std::move(rows));
+    return finish();
   }
 
-  // kVerticalPartitionPushdown: integer st-cell pre-filter first.
-  if (!query.has_st_constraint) {
-    // Without a constraint the pushdown degenerates to the vertical plan.
-    return RunStar(query, StarPlan::kVerticalPartition, metrics);
-  }
-  for (const auto& [s, cell] : subject_stcell_) {
-    ++local.triples_scanned;  // side-index probe (integer compare)
-    if (!encoder_.MayIntersect(cell, query.st_box)) continue;
-    StarRow row;
-    row.subject = s;
-    row.objects.assign(k, 0);
-    bool complete = true;
-    for (size_t i = 0; i < k && complete; ++i) {
-      local.triples_scanned += 1;
-      row.objects[i] = probe(*lists[i], s);
-      if (row.objects[i] == 0) complete = false;
-    }
-    if (!complete) continue;
-    ++local.candidate_subjects;
-    ++local.st_filter_evaluations;
-    if (!ExactStMatch(s, query.st_box)) continue;
-    rows.push_back(std::move(row));
-  }
-  return finish(std::move(rows));
+  // kAdjacencyIndex, and its pushdown plan without a box.
+  local.triples_scanned += IntersectPostings(
+      index, query.predicate_ids, [&](StarRow row) { accept(std::move(row)); });
+  return finish();
 }
 
 Status KnowledgeStore::SaveTriples(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Status::IoError("cannot create directory: " + dir);
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    std::vector<rdf::EncodedTriple> sorted = partitions_[i];
+  const std::vector<rdf::EncodedTriple>& all = graph_.triples();
+  for (size_t part = 0; part < partition_count_; ++part) {
+    std::vector<rdf::EncodedTriple> sorted;
+    for (size_t i = part; i < all.size(); i += partition_count_) {
+      sorted.push_back(all[i]);
+    }
     std::sort(sorted.begin(), sorted.end(),
               [](const rdf::EncodedTriple& a, const rdf::EncodedTriple& b) {
                 return std::tuple(a.s, a.p, a.o) < std::tuple(b.s, b.p, b.o);
               });
     TCMF_RETURN_IF_ERROR(WriteTriplePartition(
-        dir + StrFormat("/partition-%04zu.col", i), sorted));
+        dir + StrFormat("/partition-%04zu.col", part), sorted));
   }
   return Status::Ok();
 }
 
 Result<size_t> KnowledgeStore::LoadTriples(const std::string& dir) {
   size_t loaded = 0;
-  for (size_t i = 0; i < partitions_.size(); ++i) {
+  for (size_t i = 0; i < partition_count_; ++i) {
     std::string path = dir + StrFormat("/partition-%04zu.col", i);
     if (!std::filesystem::exists(path)) break;
     Result<std::vector<rdf::EncodedTriple>> part = ReadTriplePartition(path);
     if (!part.ok()) return part.status();
-    partitions_[i] = std::move(part).value();
-    loaded += partitions_[i].size();
+    for (const rdf::EncodedTriple& t : part.value()) graph_.AddEncoded(t);
+    loaded += part.value().size();
   }
-  total_triples_ = 0;
-  for (const auto& p : partitions_) total_triples_ += p.size();
-  compiled_ = false;
+  property_tables_.clear();
   return loaded;
 }
 

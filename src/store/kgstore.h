@@ -10,8 +10,7 @@
 #include "common/position.h"
 #include "common/status.h"
 #include "geom/stcell.h"
-#include "rdf/adjacency.h"
-#include "rdf/dictionary.h"
+#include "rdf/graph.h"
 #include "rdf/term.h"
 
 namespace tcmf::store {
@@ -24,8 +23,8 @@ namespace tcmf::store {
 /// from the predicate with the fewest distinct subjects.
 enum class StarPlan {
   kTriplesTableScan = 0,      ///< full scan + hash join + late st-filter
-  kVerticalPartition,         ///< per-predicate merge join + late st-filter
-  kVerticalPartitionPushdown, ///< integer st-cell pre-filter, then join
+  kVerticalPartition,         ///< binary-searched postings + late st-filter
+  kVerticalPartitionPushdown, ///< = kAdjacencyIndexPushdown (one path)
   kPropertyTable,             ///< pre-joined wide rows + late st-filter
   kPropertyTablePushdown,     ///< property table + integer st pre-filter
   kAdjacencyIndex,            ///< stats-ordered postings intersection
@@ -73,27 +72,32 @@ struct StoreCounters {
   uint64_t st_filter_evaluations = 0;
 };
 
-/// Batch knowledge-graph store: dictionary-encoded triples, partitioned,
-/// with per-layout star-join evaluation and spatio-temporal pruning via
-/// the StCellEncoder integer ids. Partition-parallel scans use a thread
-/// per partition group (the local stand-in for Spark executors).
+/// Batch knowledge-graph store: the star-join layouts and the
+/// spatio-temporal pruning of Section 4.2.5 over one rdf::Graph. The
+/// graph owns the dictionary, the triples table and the lazily rebuilt
+/// adjacency index; the store adds what the graph lacks: the subject ->
+/// st-cell side index, exact positions, property tables and cumulative
+/// counters. The table-scan plan splits the triples table across
+/// min(partitions, hardware threads) workers (the local stand-in for
+/// Spark executors).
 ///
-/// Lifecycle contract: ingest (Add/AddPositionNode/LoadTriples), then
-/// Compile(), then query (RunStar). Compile builds the vertical layout
-/// and the adjacency index; adding afterwards requires re-Compile.
+/// Lifecycle: every Add is visible to the next RunStar, which rebuilds
+/// the graph's index on its first read after a write; Compile() only
+/// builds it early. An Add drops the property tables.
 ///
-/// Thread-safety: ingestion and Compile are single-writer. After
-/// Compile returns, any number of threads may call RunStar /
-/// LookupPosition / CountersSnapshot concurrently (the layouts are
-/// immutable between compiles; cumulative counters are atomics).
+/// Thread-safety: ingestion (Add/AddPositionNode/LoadTriples/
+/// BuildPropertyTable) is single-writer. Between writes, any number of
+/// threads may call RunStar / LookupPosition / CountersSnapshot: the
+/// graph's double-checked build covers concurrent first reads, and the
+/// cumulative counters are atomics.
 class KnowledgeStore {
  public:
   /// `encoder` defines the spatio-temporal discretization; `partitions`
-  /// the number of storage partitions.
+  /// the table-scan parallelism and the SaveTriples file count.
   KnowledgeStore(const geom::StCellEncoder& encoder, size_t partitions = 8);
 
-  rdf::Dictionary& dictionary() { return dict_; }
-  const rdf::Dictionary& dictionary() const { return dict_; }
+  rdf::Dictionary& dictionary() { return graph_.dictionary(); }
+  const rdf::Dictionary& dictionary() const { return graph_.dictionary(); }
 
   /// Adds a triple. Triples whose predicate is vocab::kHasStCell with an
   /// integer-literal object also feed the subject -> st-cell side index
@@ -109,36 +113,36 @@ class KnowledgeStore {
   void AddPositionNode(const rdf::Term& subject, double lon, double lat,
                        TimeMs t);
 
-  /// Freezes ingestion: builds the vertical-partitioning layout, the
-  /// adjacency index (per-predicate sorted postings + cardinality
-  /// stats), and sorts runs. Must be called before RunStar.
+  /// Builds the graph's adjacency index now rather than at the next
+  /// read. Optional.
   void Compile();
 
   /// Materializes a property table over `predicate_ids` (one wide row per
   /// subject holding the first object per predicate). Property-table
   /// plans serve any star query whose predicates are a subset of a built
-  /// table's columns. Requires Compile() first.
+  /// table's columns, until the next Add.
   void BuildPropertyTable(const std::vector<uint64_t>& predicate_ids);
 
   /// Evaluates a star query under the chosen plan. Safe for concurrent
-  /// callers after Compile(). All plans return the same row set for the
+  /// callers between writes. All plans return the same row set for the
   /// same query (the differential invariant the test suite and the
   /// bench gates enforce).
   std::vector<StarRow> RunStar(const StarQuery& query, StarPlan plan,
                                StarQueryMetrics* metrics) const;
 
   /// Persists/loads the triples table as columnar partition files under
-  /// `dir` (partition-%04zu.col). Dictionary is not persisted (ids only).
+  /// `dir` (partition-%04zu.col; triple i goes to file i mod partitions).
+  /// Dictionary is not persisted (ids only). LoadTriples appends.
   Status SaveTriples(const std::string& dir) const;
   Result<size_t> LoadTriples(const std::string& dir);
 
-  size_t size() const { return total_triples_; }
-  size_t partitions() const { return partitions_.size(); }
+  size_t size() const { return graph_.size(); }
+  size_t partitions() const { return partition_count_; }
   const geom::StCellEncoder& encoder() const { return encoder_; }
 
-  /// The adjacency index built by Compile() (empty before). Valid until
-  /// the next Compile().
-  const rdf::AdjacencyIndex& adjacency() const { return adjacency_; }
+  /// The store's triples, dictionary and index, for BGP and SPARQL
+  /// evaluation over the same data the star plans read.
+  const rdf::Graph& graph() const { return graph_; }
 
   /// Snapshot of the cumulative counters (thread-safe; see
   /// StoreCounters).
@@ -150,28 +154,18 @@ class KnowledgeStore {
                       TimeMs* t) const;
 
  private:
-  struct SO {
-    uint64_t s, o;
-  };
-
   bool ExactStMatch(uint64_t subject,
                     const geom::StCellEncoder::StBox& box) const;
 
   geom::StCellEncoder encoder_;
-  rdf::Dictionary dict_;
-  std::vector<std::vector<rdf::EncodedTriple>> partitions_;
-  size_t total_triples_ = 0;
-  size_t next_partition_ = 0;
+  size_t partition_count_;
+  rdf::Graph graph_;
   /// Interned at construction: the vocabulary ids the ingest fast path
   /// and ExactStMatch compare against (no per-call Lookup).
   uint64_t stcell_pid_ = 0;
   uint64_t wkt_pid_ = 0;
   uint64_t ts_pid_ = 0;
 
-  /// Vertical partitioning: predicate -> (s,o) pairs sorted by s.
-  std::unordered_map<uint64_t, std::vector<SO>> vertical_;
-  /// Adjacency index over all partitions (built by Compile).
-  rdf::AdjacencyIndex adjacency_;
   /// Property tables: columns (predicate ids) + rows sorted by subject.
   struct PropertyTable {
     std::vector<uint64_t> columns;
@@ -188,7 +182,6 @@ class KnowledgeStore {
     TimeMs t;
   };
   std::unordered_map<uint64_t, ExactPos> subject_pos_;
-  bool compiled_ = false;
 
   // Cumulative counters (StoreCounters). Mutable + relaxed atomics: the
   // const query path accumulates them and concurrent RunStar callers

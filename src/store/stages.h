@@ -14,10 +14,11 @@ namespace tcmf::store {
 /// Terminal stage: drains a Flow<rdf::Triple> into `*store` — the glue
 /// that lets rdf::TripleGeneratorStage / rdf::SemanticTrajectoryStage
 /// stream-populate the knowledge store (Figure 2's RDFizer → RDF store
-/// edge) instead of materializing triples and bulk-loading. The drain
-/// uses the channel's batched pop (batch size = `stage.batch`'s PopMax,
-/// default Batched(256)), so ingesting a batch costs one lock
-/// acquisition per available chunk, mirroring mlog::LogSink.
+/// edge) instead of materializing triples and bulk-loading. Each pop
+/// takes what the channel holds, up to `stage.batch`'s PopMax (default
+/// Batched(256)), and adds it at once: the in-memory store has no
+/// per-write lock or fsync to amortize, so no triple waits for a batch
+/// to fill.
 ///
 /// Registers a `stage.name` stage (default "store.kgsink") whose
 /// snapshot splices the store's cumulative StoreCounters into the kg_*
@@ -28,8 +29,9 @@ namespace tcmf::store {
 /// ingest volume in its usual column.
 ///
 /// The store must outlive the pipeline run. Ingestion is single-writer
-/// (this stage's thread); call store->Compile() after the pipeline
-/// completes, then query. Concurrent CountersSnapshot is safe.
+/// (this stage's thread), so query the store after the pipeline
+/// completes; every added triple is visible to that first query.
+/// Concurrent CountersSnapshot is safe.
 inline void KgStoreSink(stream::Flow<rdf::Triple> flow, KnowledgeStore* store,
                         stream::StageOptions stage = {}) {
   stream::Pipeline* pipeline = flow.pipeline();
@@ -52,13 +54,10 @@ inline void KgStoreSink(stream::Flow<rdf::Triple> flow, KnowledgeStore* store,
   pipeline->AddThread([in, store, batch_size] {
     std::vector<rdf::Triple> batch;
     batch.reserve(batch_size);
-    while (true) {
-      if (in->PopBatch(&batch, batch_size - batch.size()) == 0) break;
-      if (batch.size() < batch_size) continue;
+    while (in->PopBatch(&batch, batch_size) > 0) {
       for (const rdf::Triple& t : batch) store->Add(t);
       batch.clear();
     }
-    for (const rdf::Triple& t : batch) store->Add(t);
   });
 }
 

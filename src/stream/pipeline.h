@@ -125,10 +125,18 @@ namespace internal {
 /// Creates the per-edge adaptive controller for `channel` when the policy
 /// asks for one. Returns nullptr for static edges — callers treat a null
 /// tuner as "use the static policy".
+///
+/// The tuner's range is clamped to the channel's capacity: a target
+/// above it only makes every flush wait for the consumer to drain a
+/// full queue.
 template <typename U>
-std::shared_ptr<BatchTuner> MakeTuner(const BatchPolicy& policy,
+std::shared_ptr<BatchTuner> MakeTuner(BatchPolicy policy,
                                       const std::shared_ptr<Channel<U>>& ch) {
   if (!policy.adaptive()) return nullptr;
+  policy.max_batch_cap = std::min(policy.max_batch_cap, ch->capacity());
+  policy.min_batch = std::min(policy.min_batch, policy.max_batch_cap);
+  policy.max_batch =
+      std::clamp(policy.max_batch, policy.min_batch, policy.max_batch_cap);
   return std::make_shared<BatchTuner>(policy,
                                       [ch] { return ch->MetricsSnapshot(); });
 }

@@ -54,8 +54,8 @@ inline constexpr double kTunerBackoffMaxStarvedFraction = 0.5;
 /// Adaptive mode (`max_batch_cap > min_batch`, build with `Adaptive()`):
 /// `max_batch` is only the *seed*; every operator edge gets a private
 /// BatchTuner that re-targets the batch size inside
-/// [min_batch, max_batch_cap] from the edge's own StageMetrics — no
-/// hand-tuning per edge. When `min_batch == max_batch_cap` the policy
+/// [min_batch, max_batch_cap], clamped to the edge's capacity, from the
+/// edge's own StageMetrics — no hand-tuning per edge. When `min_batch == max_batch_cap` the policy
 /// degenerates to the static policy `Batched(min_batch)`: no tuner is
 /// created and no adjustments ever happen.
 ///

@@ -1,16 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <set>
+#include <thread>
 
 #include "common/rng.h"
 #include "geom/stcell.h"
+#include "rdf/bgp.h"
 #include "rdf/vocab.h"
 #include "store/columnar.h"
 #include "store/kgstore.h"
+#include "store/stages.h"
 
 namespace tcmf::store {
 namespace {
@@ -317,6 +324,211 @@ TEST_P(PlanAgreementSweep, AgreeAtAllSelectivities) {
 
 INSTANTIATE_TEST_SUITE_P(Selectivities, PlanAgreementSweep,
                          ::testing::Values(0.1, 0.25, 0.5, 0.75, 1.0));
+
+// ------------------------------------------ One graph, lazy index
+
+std::set<uint64_t> SubjectSet(const std::vector<StarRow>& rows) {
+  std::set<uint64_t> out;
+  for (const StarRow& r : rows) out.insert(r.subject);
+  return out;
+}
+
+std::vector<std::pair<uint64_t, std::vector<uint64_t>>> SortedRows(
+    const std::vector<StarRow>& rows) {
+  std::vector<std::pair<uint64_t, std::vector<uint64_t>>> out;
+  for (const StarRow& r : rows) out.emplace_back(r.subject, r.objects);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Adds nodes [first, first + n) with a position and a speed.
+void AddSpeedNodes(KnowledgeStore* store, int first, int n, Rng* rng) {
+  for (int i = first; i < first + n; ++i) {
+    rdf::Term node = rdf::Iri("http://x/lazy/" + std::to_string(i));
+    store->AddPositionNode(node, rng->Uniform(0.0, 10.0),
+                           rng->Uniform(35.0, 44.0),
+                           static_cast<TimeMs>(rng->Uniform(0.0, 86400000.0)));
+    store->Add({node, rdf::Iri(rdf::vocab::kHasSpeed),
+                rdf::DoubleLiteral(rng->Uniform(0.0, 12.0))});
+  }
+}
+
+StarQuery SpeedStar(const KnowledgeStore& store, bool st) {
+  StarQuery q;
+  q.predicate_ids = {
+      store.dictionary().Lookup(rdf::Iri(rdf::vocab::kHasSpeed)),
+      store.dictionary().Lookup(rdf::Iri(rdf::vocab::kHasTimestamp))};
+  q.has_st_constraint = st;
+  q.st_box.bounds = {2.0, 38.0, 6.0, 42.0};
+  q.st_box.t_begin = 4 * kMillisPerHour;
+  q.st_box.t_end = 16 * kMillisPerHour;
+  return q;
+}
+
+TEST(KgLazyIndexTest, RunStarSeesEveryAddWithoutCompile) {
+  geom::StCellEncoder encoder({0.0, 35.0, 10.0, 44.0}, 8, 0, kMillisPerHour);
+  KnowledgeStore store(encoder, 4);
+  Rng rng(41);
+  AddSpeedNodes(&store, 0, 150, &rng);
+  std::vector<size_t> st_rows;
+  for (int round = 0; round < 2; ++round) {
+    for (bool st : {false, true}) {
+      const StarQuery q = SpeedStar(store, st);
+      const auto scan =
+          SortedRows(store.RunStar(q, StarPlan::kTriplesTableScan, nullptr));
+      ASSERT_FALSE(scan.empty());
+      if (st) st_rows.push_back(scan.size());
+      for (StarPlan plan :
+           {StarPlan::kVerticalPartition, StarPlan::kVerticalPartitionPushdown,
+            StarPlan::kAdjacencyIndex, StarPlan::kAdjacencyIndexPushdown}) {
+        EXPECT_EQ(SortedRows(store.RunStar(q, plan, nullptr)), scan)
+            << StarPlanName(plan) << " round " << round << " st " << st;
+      }
+    }
+    // No Compile(): the next round's queries must see these nodes too.
+    AddSpeedNodes(&store, 150 * (round + 1), 150, &rng);
+  }
+  EXPECT_GT(st_rows[1], st_rows[0]);
+}
+
+TEST_F(KgStoreTest, EveryPlanMatchesBgpOverTheStoresGraph) {
+  store_.BuildPropertyTable(query_.predicate_ids);
+  // The star as a BGP: ?s p_i ?o_i for each queried predicate.
+  std::vector<rdf::TriplePattern> patterns;
+  for (uint64_t p : query_.predicate_ids) {
+    patterns.push_back(
+        {rdf::PatternTerm::Var("s"),
+         rdf::PatternTerm::Const(*store_.dictionary().Decode(p)),
+         rdf::PatternTerm::Var("o" + std::to_string(patterns.size()))});
+  }
+  std::set<uint64_t> bound;
+  for (const rdf::Binding& b : rdf::EvaluateBgp(store_.graph(), patterns)) {
+    bound.insert(b.at("s"));
+  }
+  ASSERT_EQ(bound.size(), kNodes);
+  // Under the st box, the oracle filters the BGP's subjects by their
+  // registered exact positions.
+  std::set<uint64_t> in_box;
+  for (uint64_t s : bound) {
+    double lon, lat;
+    TimeMs t;
+    ASSERT_TRUE(store_.LookupPosition(s, &lon, &lat, &t));
+    if (query_.st_box.bounds.Contains(lon, lat) &&
+        t >= query_.st_box.t_begin && t <= query_.st_box.t_end) {
+      in_box.insert(s);
+    }
+  }
+  ASSERT_EQ(in_box.size(), ExpectedMatches());
+
+  for (bool st : {false, true}) {
+    StarQuery q = query_;
+    q.has_st_constraint = st;
+    for (int plan = 0;
+         plan <= static_cast<int>(StarPlan::kAdjacencyIndexPushdown); ++plan) {
+      const StarPlan p = static_cast<StarPlan>(plan);
+      EXPECT_EQ(SubjectSet(store_.RunStar(q, p, nullptr)),
+                st ? in_box : bound)
+          << StarPlanName(p) << " st " << st;
+    }
+  }
+}
+
+TEST_F(KgStoreTest, AddDropsPropertyTables) {
+  store_.BuildPropertyTable(query_.predicate_ids);
+  ASSERT_EQ(store_.RunStar(query_, StarPlan::kPropertyTable, nullptr).size(),
+            ExpectedMatches());
+  store_.Add({rdf::Iri("http://x/node/late"), rdf::Iri(rdf::vocab::kHasSpeed),
+              rdf::DoubleLiteral(1.0)});
+  EXPECT_TRUE(
+      store_.RunStar(query_, StarPlan::kPropertyTable, nullptr).empty());
+  EXPECT_TRUE(
+      store_.RunStar(query_, StarPlan::kPropertyTablePushdown, nullptr)
+          .empty());
+  // The index plans still answer.
+  EXPECT_EQ(store_.RunStar(query_, StarPlan::kAdjacencyIndex, nullptr).size(),
+            ExpectedMatches());
+}
+
+TEST(KgStoreConcurrentTest, RunStarRacesTheLazyIndexBuild) {
+  geom::StCellEncoder encoder({0.0, 35.0, 10.0, 44.0}, 8, 0, kMillisPerHour);
+  KnowledgeStore store(encoder, 4);
+  Rng rng(43);
+  AddSpeedNodes(&store, 0, 300, &rng);
+  const StarQuery q = SpeedStar(store, true);
+  // The oracle reads the registered positions, not the index.
+  size_t expected = 0;
+  for (int i = 0; i < 300; ++i) {
+    double lon, lat;
+    TimeMs t;
+    ASSERT_TRUE(store.LookupPosition(
+        store.dictionary().Lookup(
+            rdf::Iri("http://x/lazy/" + std::to_string(i))),
+        &lon, &lat, &t));
+    if (q.st_box.bounds.Contains(lon, lat) && t >= q.st_box.t_begin &&
+        t <= q.st_box.t_end) {
+      ++expected;
+    }
+  }
+  ASSERT_GT(expected, 0u);
+
+  // Never compiled: every reader races to trigger the first build.
+  const StarPlan plans[] = {StarPlan::kAdjacencyIndex,
+                            StarPlan::kVerticalPartition,
+                            StarPlan::kAdjacencyIndexPushdown,
+                            StarPlan::kTriplesTableScan};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 8; ++i) {
+    threads.emplace_back([&, plan = plans[i % 4]] {
+      if (store.RunStar(q, plan, nullptr).size() != expected) ++mismatches;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(store.CountersSnapshot().star_queries, 8u);
+}
+
+TEST(KgStoreSinkTest, AddsEachPopWithoutWaitingForAFullBatch) {
+  geom::StCellEncoder encoder({0.0, 35.0, 10.0, 44.0}, 8, 0, kMillisPerHour);
+  KnowledgeStore store(encoder, 2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  int emitted = 0;
+  stream::Pipeline pipeline;
+  // The source emits 10 triples, then holds its stream open until
+  // released.
+  KgStoreSink(stream::Flow<rdf::Triple>::FromGenerator(
+                  &pipeline,
+                  [&]() -> std::optional<rdf::Triple> {
+                    if (emitted == 10) {
+                      std::unique_lock<std::mutex> lock(mu);
+                      cv.wait(lock, [&] { return released; });
+                      return std::nullopt;
+                    }
+                    ++emitted;
+                    return rdf::Triple{
+                        rdf::Iri("http://x/s/" + std::to_string(emitted)),
+                        rdf::Iri(rdf::vocab::kHasSpeed),
+                        rdf::DoubleLiteral(1.0)};
+                  }),
+              &store);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (store.CountersSnapshot().triples_added < 10 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t added_while_held = store.CountersSnapshot().triples_added;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+  }
+  cv.notify_all();
+  pipeline.Run();
+  EXPECT_EQ(added_while_held, 10u);
+  EXPECT_EQ(store.size(), 10u);
+}
 
 }  // namespace
 }  // namespace tcmf::store
