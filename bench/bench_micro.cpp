@@ -24,6 +24,7 @@
 #include "mlog/codec.h"
 #include "rdf/dictionary.h"
 #include "stream/channel.h"
+#include "stream/metrics.h"
 #include "stream/pipeline.h"
 #include "stream/record.h"
 #include "stream/tuning.h"
@@ -292,10 +293,9 @@ void PrintPipelineStageReport() {
 // size (batch 1 == the original record-at-a-time Push/Pop transport) and
 // the end-to-end source->map->filter->sink pipeline across transport
 // modes: record-at-a-time, a static max_batch sweep {16, 64, 256},
-// fused+Batched(64), the adaptive controller (BatchPolicy::Adaptive —
-// must converge to >= 0.9x the best static row under steady load), and
-// an adaptive slow-consumer phase change (the tuner must record
-// back-off adjustments). Emits a table on stdout and machine-readable
+// fused+Batched(64) and pop-sized adaptive batching
+// (BatchPolicy::Adaptive — must reach >= 0.85x the best static row under
+// steady load). Emits a table on stdout and machine-readable
 // rows to BENCH_micro.json in the working directory;
 // tools/bench_check.py gates the RATIOS between rows against the
 // committed baseline in bench/baselines/ (see docs/STREAM_TUNING.md for
@@ -305,13 +305,10 @@ struct BenchRow {
   std::string name;
   size_t records = 0;
   double records_per_s = 0.0;
-  bool tuned = false;
-  stream::TunerState tuner;  ///< source-edge controller state (if tuned)
   double p99_ms = -1.0;      ///< p99 staging latency (latency rows only)
   int64_t linger_ms = -1;    ///< edge max_linger_ms (latency rows only)
   int hw_threads = 0;        ///< hardware threads (hw-gated rows only)
-  bool has_skew = false;     ///< worker-edge skew summary attached
-  stream::WorkerEdgeSkew skew;  ///< keyed-stage partition-edge summary
+  double skew_ratio = -1.0;  ///< partition-edge skew (keyed skew rows only)
 };
 
 // One producer thread feeding one consumer (the caller's thread) through
@@ -370,24 +367,13 @@ double MeasureChannelTransfer(size_t batch, size_t total) {
 
 // source -> map(x3) -> filter(even) -> sink, count records, capacity 256,
 // under an arbitrary BatchPolicy (optionally with the map+filter fused
-// into the source stage). When slow_after >= 0 the sink sleeps slow_us
-// microseconds per record once slow_after records have passed — a
-// consumer phase change that an adaptive source edge must react to by
-// shrinking its batch target (visible as tuner adjust_down > 0).
-struct PipelineResult {
-  double records_per_s = 0.0;
-  bool tuned = false;
-  stream::TunerState tuner;  ///< source-edge controller state (if tuned)
-};
-
-PipelineResult MeasurePipelinePolicy(const stream::BatchPolicy& policy,
-                                     bool fuse, int count,
-                                     int slow_after = -1, int slow_us = 0) {
+// into the source stage). Returns records/s.
+double MeasurePipelinePolicy(const stream::BatchPolicy& policy, bool fuse,
+                             int count) {
   constexpr size_t kCapacity = 256;
   stream::Pipeline pipeline;
   int next = 0;
   long long checksum = 0;
-  int sunk = 0;
   auto source = stream::Flow<int>::FromGenerator(
       &pipeline,
       [&next, count]() -> std::optional<int> {
@@ -395,15 +381,9 @@ PipelineResult MeasurePipelinePolicy(const stream::BatchPolicy& policy,
         return next++;
       },
       {.name = "source", .capacity = kCapacity, .batch = policy});
-  auto source_tuner = source.tuner();
   auto map_fn = [](const int& x) { return x * 3; };
   auto filter_fn = [](const int& x) { return (x & 1) == 0; };
-  auto sink_fn = [&checksum, &sunk, slow_after, slow_us](const int& x) {
-    checksum += x;
-    if (slow_after >= 0 && ++sunk > slow_after && slow_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(slow_us));
-    }
-  };
+  auto sink_fn = [&checksum](const int& x) { checksum += x; };
   if (fuse) {
     source.Fuse()
         .Map<int>(map_fn)
@@ -421,13 +401,7 @@ PipelineResult MeasurePipelinePolicy(const stream::BatchPolicy& policy,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   benchmark::DoNotOptimize(checksum);
-  PipelineResult result;
-  result.records_per_s = static_cast<double>(count) / seconds;
-  if (source_tuner) {
-    result.tuned = true;
-    result.tuner = source_tuner->Snapshot();
-  }
-  return result;
+  return static_cast<double>(count) / seconds;
 }
 
 // ==== Linger staging latency ====
@@ -484,7 +458,7 @@ struct KeyedRec {
 
 struct KeyedFusionResult {
   double records_per_s = 0.0;
-  stream::WorkerEdgeSkew skew;
+  double skew_ratio = 0.0;  ///< WorkerEdgeSkewRatio (MeasureKeyedSkew)
 };
 
 KeyedFusionResult MeasureKeyedFusion(bool fused, int count) {
@@ -544,27 +518,19 @@ KeyedFusionResult MeasureKeyedFusion(bool fused, int count) {
   benchmark::DoNotOptimize(checksum);
   KeyedFusionResult result;
   result.records_per_s = static_cast<double>(count) / seconds;
-  for (const stream::StageMetrics& m : pipeline.Report()) {
-    if (m.stage == "keyed") {
-      result.skew = stream::SummarizeWorkerEdges(m.worker_edges);
-    }
-  }
   return result;
 }
 
-// Skew-aware partition-edge tuning under a hot key: 80% of the stream
-// lands on one key (one partition edge), and every hot-key record costs
-// ~20us at its worker, so the hot edge's pops blow the slow-batch
-// latency bound while the cold edges starve. The per-edge controllers
-// must back the hot edge off (hot_adjust_down > 0) while the starvation
-// gate holds the cold targets (cold_adjust_down == 0 given enough
-// cores); the uniform arm is the skew_ratio contrast.
+// Partition-edge load under a hot key on adaptive edges: 80% of the
+// stream lands on one key (one partition edge), and every hot-key record
+// costs ~20us at its worker, so the hot worker is the bottleneck while
+// the cold ones starve. The stage row's skew_ratio must resolve the
+// imbalance; the uniform arm is its contrast.
 KeyedFusionResult MeasureKeyedSkew(bool skewed, int count) {
   constexpr size_t kWorkers = 4;
   stream::Pipeline pipeline;
   int next = 0;
-  stream::BatchPolicy policy = stream::BatchPolicy::Adaptive(64, 1, 256);
-  policy.tune_every_records = 256;
+  const stream::BatchPolicy policy = stream::BatchPolicy::Adaptive(256);
   auto source = stream::Flow<int>::FromGenerator(
       &pipeline,
       [&next, count]() -> std::optional<int> {
@@ -585,8 +551,7 @@ KeyedFusionResult MeasureKeyedSkew(bool skewed, int count) {
                  const std::function<void(double)>&) {
     sum += r.payload[0];
     if (r.key == 0) {
-      // The hot key's per-record cost: a 64-record pop at the hot edge
-      // takes milliseconds, far past the 1ms slow-batch bound.
+      // The hot key's per-record cost: its worker is the bottleneck.
       std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   };
@@ -611,7 +576,7 @@ KeyedFusionResult MeasureKeyedSkew(bool skewed, int count) {
   result.records_per_s = static_cast<double>(count) / seconds;
   for (const stream::StageMetrics& m : pipeline.Report()) {
     if (m.stage == "keyed") {
-      result.skew = stream::SummarizeWorkerEdges(m.worker_edges);
+      result.skew_ratio = stream::WorkerEdgeSkewRatio(m.worker_edges);
     }
   }
   return result;
@@ -645,15 +610,13 @@ void RunBatchedTransportComparison(bool smoke) {
       "\n=== pipeline source->map->filter->sink: %d records, capacity 256 "
       "===\n",
       kPipelineCount);
-  std::printf("%-28s %14s  %s\n", "row", "records/s", "tuner");
+  std::printf("%-28s %14s\n", "row", "records/s");
 
-  // A pipeline mode: name, batch policy, fuse flag, optional slow phase.
+  // A pipeline mode: name, batch policy, fuse flag.
   struct Mode {
     const char* name;
     stream::BatchPolicy policy;
     bool fuse = false;
-    bool slow_phase = false;  ///< sink sleeps slow_us/record after count/2
-    int slow_us = 0;
   };
   const Mode kModes[] = {
       {"pipeline/record_at_a_time", stream::BatchPolicy::Single()},
@@ -661,46 +624,16 @@ void RunBatchedTransportComparison(bool smoke) {
       {"pipeline/batched64", stream::BatchPolicy::Batched(64)},
       {"pipeline/batched256", stream::BatchPolicy::Batched(256)},
       {"pipeline/fused_batched64", stream::BatchPolicy::Batched(64), true},
-      {"pipeline/adaptive", stream::BatchPolicy::Adaptive(16, 1, 1024)},
-      // Phase change: sink turns slow halfway through. Throughput here is
-      // dominated by the sink sleep (informational); what bench_check
-      // gates is that the tuner recorded back-off adjustments.
-      {"pipeline/adaptive_slow_phase",
-       stream::BatchPolicy::Adaptive(16, 1, 1024), false, true, 20},
+      {"pipeline/adaptive", stream::BatchPolicy::Adaptive()},
   };
   for (const Mode& mode : kModes) {
-    // The slow-phase row sleeps ~20us on half its records; run it on a
-    // reduced count so the comparison stays fast.
-    const int count = mode.slow_phase ? std::max(kPipelineCount / 10, 20000)
-                                      : kPipelineCount;
-    // The filter drops odd values, so ~count/2 records reach the sink;
-    // count/4 puts the phase change halfway through the sink's stream.
-    const int slow_after = mode.slow_phase ? count / 4 : -1;
-    PipelineResult best;
+    double best = 0.0;
     for (int rep = 0; rep < kReps; ++rep) {
-      PipelineResult r = MeasurePipelinePolicy(mode.policy, mode.fuse, count,
-                                               slow_after, mode.slow_us);
-      if (r.records_per_s > best.records_per_s) best = r;
+      best = std::max(best, MeasurePipelinePolicy(mode.policy, mode.fuse,
+                                                  kPipelineCount));
     }
-    BenchRow row;
-    row.name = mode.name;
-    row.records = static_cast<size_t>(count);
-    row.records_per_s = best.records_per_s;
-    row.tuned = best.tuned;
-    row.tuner = best.tuner;
-    rows.push_back(row);
-    if (best.tuned) {
-      std::printf(
-          "%-28s %14.0f  target=%zu range=[%zu,%zu] up=%llu down=%llu "
-          "converged=%zu\n",
-          mode.name, best.records_per_s, best.tuner.target_batch,
-          best.tuner.min_batch, best.tuner.max_batch_cap,
-          static_cast<unsigned long long>(best.tuner.adjust_up),
-          static_cast<unsigned long long>(best.tuner.adjust_down),
-          best.tuner.converged_batch);
-    } else {
-      std::printf("%-28s %14.0f\n", mode.name, best.records_per_s);
-    }
+    rows.push_back({mode.name, static_cast<size_t>(kPipelineCount), best});
+    std::printf("%-28s %14.0f\n", mode.name, best);
   }
 
   // ---- linger: staging-latency p99 under a trickle ----
@@ -764,13 +697,12 @@ void RunBatchedTransportComparison(bool smoke) {
 
     const int skew_count = smoke ? 8000 : 20000;
     std::printf(
-        "\n=== skew-aware partition-edge tuning: keyed(4 workers), %d "
+        "\n=== partition-edge skew: adaptive keyed(4 workers), %d "
         "records, hot key ~20us/record ===\n",
         skew_count);
-    std::printf("%-28s %14s %6s %9s %9s %9s\n", "row", "records/s", "skew",
-                "hot_down", "cold_down", "targets");
+    std::printf("%-28s %14s %6s\n", "row", "records/s", "skew");
     for (const bool skewed : {false, true}) {
-      // One rep: the gates read controller counters, not throughput.
+      // One rep: the gate reads skew_ratio, not throughput.
       const KeyedFusionResult r = MeasureKeyedSkew(skewed, skew_count);
       BenchRow row;
       row.name = skewed ? "keyed_fusion/adaptive_skewed"
@@ -778,15 +710,10 @@ void RunBatchedTransportComparison(bool smoke) {
       row.records = static_cast<size_t>(skew_count);
       row.records_per_s = r.records_per_s;
       row.hw_threads = hw;
-      row.has_skew = true;
-      row.skew = r.skew;
+      row.skew_ratio = r.skew_ratio;
       rows.push_back(row);
-      std::printf(
-          "%-28s %14.0f %6.2f %9llu %9llu [%zu,%zu]\n", row.name.c_str(),
-          r.records_per_s, r.skew.skew_ratio,
-          static_cast<unsigned long long>(r.skew.hot_adjust_down),
-          static_cast<unsigned long long>(r.skew.cold_adjust_down),
-          r.skew.min_target, r.skew.max_target);
+      std::printf("%-28s %14.0f %6.2f\n", row.name.c_str(), r.records_per_s,
+                  r.skew_ratio);
     }
   }
 
@@ -798,19 +725,6 @@ void RunBatchedTransportComparison(bool smoke) {
                    "\"records_per_s\": %.0f",
                    rows[i].name.c_str(), rows[i].records,
                    rows[i].records_per_s);
-      if (rows[i].tuned) {
-        const stream::TunerState& t = rows[i].tuner;
-        std::fprintf(f,
-                     ", \"tuner_target_batch\": %zu, \"tuner_min_batch\": %zu, "
-                     "\"tuner_batch_cap\": %zu, \"tuner_samples\": %llu, "
-                     "\"tuner_adjust_up\": %llu, \"tuner_adjust_down\": %llu, "
-                     "\"tuner_converged_batch\": %zu",
-                     t.target_batch, t.min_batch, t.max_batch_cap,
-                     static_cast<unsigned long long>(t.samples),
-                     static_cast<unsigned long long>(t.adjust_up),
-                     static_cast<unsigned long long>(t.adjust_down),
-                     t.converged_batch);
-      }
       if (rows[i].p99_ms >= 0.0) {
         std::fprintf(f, ", \"p99_ms\": %.3f, \"linger_ms\": %lld",
                      rows[i].p99_ms,
@@ -819,16 +733,8 @@ void RunBatchedTransportComparison(bool smoke) {
       if (rows[i].hw_threads > 0) {
         std::fprintf(f, ", \"hw_threads\": %d", rows[i].hw_threads);
       }
-      if (rows[i].has_skew) {
-        const stream::WorkerEdgeSkew& s = rows[i].skew;
-        std::fprintf(f,
-                     ", \"skew_ratio\": %.3f, \"hot_edges\": %zu, "
-                     "\"hot_adjust_down\": %llu, \"cold_adjust_down\": %llu, "
-                     "\"min_target\": %zu, \"max_target\": %zu",
-                     s.skew_ratio, s.hot_edges,
-                     static_cast<unsigned long long>(s.hot_adjust_down),
-                     static_cast<unsigned long long>(s.cold_adjust_down),
-                     s.min_target, s.max_target);
+      if (rows[i].skew_ratio >= 0.0) {
+        std::fprintf(f, ", \"skew_ratio\": %.3f", rows[i].skew_ratio);
       }
       std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
     }

@@ -23,8 +23,8 @@ namespace tcmf::insitu {
 ///
 /// Stage configuration follows the unified `(flow, config, StageOptions,
 /// ...)` helper signature: `stage.name` defaults to "insitu.clean" and
-/// `stage.batch` to the adaptive batched transport (its output edge gets
-/// a private BatchTuner; observation-equivalent to record-at-a-time —
+/// `stage.batch` to the adaptive batched transport (each pop's verdicts
+/// flush when the pop ends; observation-equivalent to record-at-a-time —
 /// pass `.batch = BatchPolicy::Batched(n)` to pin a static size or
 /// `BatchPolicy::Single()` to opt out; see docs/STREAM_TUNING.md).
 inline stream::Flow<Position> CleaningStage(

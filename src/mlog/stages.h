@@ -24,20 +24,18 @@ namespace tcmf::mlog {
 /// the unified `(flow/pipeline, config, StageOptions)` signature shared
 /// with the insitu/synopses stage helpers.
 
-/// Terminal stage: drains `flow` into `*log` using batched appends (one
-/// fsync per batch under FsyncPolicy::kPerBatch). The append batch size
-/// is `stage.batch`'s transfer cap (PopMax; defaults to Batched(256)
-/// when unset). The drain uses the channel's batched pop, so filling an
-/// append batch costs one lock acquisition per available chunk instead
-/// of one per record — the fsync amortization and the transport
-/// amortization line up. Registers a `stage.name` stage (default
-/// "mlog.sink") with the pipeline exposing the log's counters (bytes
-/// written, fsyncs, recovery stats). On an append error — mid-stream or
-/// on the final tail flush — the failure is recorded as a sticky stage
-/// error (StageMetrics.error, visible in Report()/ReportJson()); the
-/// mid-stream path additionally cancels upstream (CloseAndDrain) so the
-/// pipeline shuts down instead of losing data silently. The log must
-/// outlive the pipeline run.
+/// Terminal stage: drains `flow` into `*log` with one batched append per
+/// pop (one fsync per pop under FsyncPolicy::kPerBatch). Each pop takes
+/// what the channel holds, up to `stage.batch`'s `max_batch` (default
+/// Batched(256)), so the fsync amortization tracks the transport's and
+/// no record waits for a batch to fill before tailing cursors can see
+/// it. Registers a `stage.name` stage (default "mlog.sink") with the
+/// pipeline exposing the log's counters (bytes written, fsyncs, recovery
+/// stats). On an append error the failure is recorded as a sticky stage
+/// error (StageMetrics.error, visible in Report()/ReportJson()) and
+/// upstream is cancelled (CloseAndDrain) so the pipeline shuts down
+/// instead of losing data silently. The log must outlive the pipeline
+/// run.
 inline void LogSink(stream::Flow<stream::Record> flow, Log* log,
                     stream::StageOptions stage = {}) {
   stream::Pipeline* pipeline = flow.pipeline();
@@ -50,30 +48,17 @@ inline void LogSink(stream::Flow<stream::Record> flow, Log* log,
   });
   auto in = flow.channel();
   const size_t batch_size = std::max<size_t>(
-      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
+      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).max_batch);
   pipeline->AddThread([in, log, batch_size, error] {
     std::vector<stream::Record> batch;
     batch.reserve(batch_size);
-    while (true) {
-      // Top the batch up from whatever is queued (blocks when empty);
-      // append + fsync once it is full.
-      if (in->PopBatch(&batch, batch_size - batch.size()) == 0) break;
-      if (batch.size() < batch_size) continue;
+    while (in->PopBatch(&batch, batch_size) > 0) {
       if (Status s = log->AppendBatch(batch).status(); !s.ok()) {
         error->Set(s.ToString());
         in->CloseAndDrain();  // propagate failure upstream
         return;
       }
       batch.clear();
-    }
-    // Final tail flush at EOS. There is no upstream left to cancel, so
-    // the sticky error is the only way a failure here can surface —
-    // dropping this Status would be silent loss of the stream's last
-    // records.
-    if (!batch.empty()) {
-      if (Status s = log->AppendBatch(batch).status(); !s.ok()) {
-        error->Set(s.ToString());
-      }
     }
   });
 }
@@ -91,11 +76,11 @@ struct LogSourceOptions {
   std::optional<uint64_t> end_offset;
   /// Stage configuration for the replay edge (the same StageOptions every
   /// Flow operator takes). `stage.name` defaults to "mlog.source";
-  /// `stage.batch` defaults to the adaptive batched transport — the
-  /// replay edge is the throughput-bound path and its best batch size
-  /// depends on the consumer, so the per-edge BatchTuner finds it
-  /// (docs/STREAM_TUNING.md). Use BatchPolicy::Batched(n) to pin a static
-  /// size or BatchPolicy::Single() for record-at-a-time transport.
+  /// `stage.batch` defaults to the adaptive batched transport — each
+  /// replay call decodes up to the edge's cap, and downstream stages move
+  /// whatever one pop takes (docs/STREAM_TUNING.md). Use
+  /// BatchPolicy::Batched(n) to pin a static size or
+  /// BatchPolicy::Single() for record-at-a-time transport.
   stream::StageOptions stage{};
 };
 
@@ -105,7 +90,7 @@ struct LogSourceOptions {
 /// log must outlive the pipeline run.
 ///
 /// Replay is segment-aware batched end to end: the stage pulls via
-/// Cursor::NextBatch sized to the edge's live batch target, so one call
+/// Cursor::NextBatch sized to the edge's batch cap, so one call
 /// decodes one channel transfer's worth of records, the committed
 /// watermark is sampled once per batch, and the log's read counters are
 /// bumped once per batch — source-side decode amortization matched to
@@ -171,13 +156,12 @@ using RecordKeyFn = std::function<uint64_t(const stream::Record&)>;
 
 /// Terminal stage: drains `flow` into `*topic`, routing every record to
 /// its key's partition (Mix64(key_fn(r)) % N — the topic's producer
-/// hash). Each popped channel batch is scattered by partition and
-/// appended with one AppendBatch per touched partition, so the fsync
-/// amortization of LogSink is preserved per partition. Registers
-/// `stage.name` (default "mlog.psink") exposing the topic's aggregated
-/// counters; append failures — mid-stream or on the final tail flush —
-/// become a sticky stage error exactly as in LogSink. The topic must
-/// outlive the pipeline run.
+/// hash). Each pop is scattered by partition and appended with one
+/// AppendBatch per touched partition, so the fsync amortization of
+/// LogSink is preserved per partition. Registers `stage.name` (default
+/// "mlog.psink") exposing the topic's aggregated counters; append
+/// failures become a sticky stage error exactly as in LogSink. The topic
+/// must outlive the pipeline run.
 inline void PartitionedLogSink(stream::Flow<stream::Record> flow,
                                PartitionedLog* topic, RecordKeyFn key_fn,
                                stream::StageOptions stage = {}) {
@@ -191,20 +175,19 @@ inline void PartitionedLogSink(stream::Flow<stream::Record> flow,
   });
   auto in = flow.channel();
   const size_t batch_size = std::max<size_t>(
-      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
+      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).max_batch);
   pipeline->AddThread([in, topic, key_fn = std::move(key_fn), batch_size,
                        error] {
     std::vector<stream::Record> batch;
     batch.reserve(batch_size);
     std::vector<std::vector<stream::Record>> scatter(topic->partition_count());
-    // Scatters the staged batch by partition and appends each partition's
-    // share; the first failing partition's status wins (the rest are
-    // still attempted so healthy partitions keep their data).
-    auto append_scattered = [&]() -> Status {
+    while (in->PopBatch(&batch, batch_size) > 0) {
       for (stream::Record& r : batch) {
         scatter[topic->PartitionFor(key_fn(r))].push_back(std::move(r));
       }
       batch.clear();
+      // The first failing partition's status wins; the rest are still
+      // appended so healthy partitions keep their data.
       Status first;
       for (size_t p = 0; p < scatter.size(); ++p) {
         if (scatter[p].empty()) continue;
@@ -212,19 +195,11 @@ inline void PartitionedLogSink(stream::Flow<stream::Record> flow,
         scatter[p].clear();
         if (first.ok() && !s.ok()) first = std::move(s);
       }
-      return first;
-    };
-    while (true) {
-      if (in->PopBatch(&batch, batch_size - batch.size()) == 0) break;
-      if (batch.size() < batch_size) continue;
-      if (Status s = append_scattered(); !s.ok()) {
-        error->Set(s.ToString());
+      if (!first.ok()) {
+        error->Set(first.ToString());
         in->CloseAndDrain();  // propagate failure upstream
         return;
       }
-    }
-    if (!batch.empty()) {
-      if (Status s = append_scattered(); !s.ok()) error->Set(s.ToString());
     }
   });
 }

@@ -15,7 +15,7 @@ namespace tcmf::store {
 /// that lets rdf::TripleGeneratorStage / rdf::SemanticTrajectoryStage
 /// stream-populate the knowledge store (Figure 2's RDFizer → RDF store
 /// edge) instead of materializing triples and bulk-loading. Each pop
-/// takes what the channel holds, up to `stage.batch`'s PopMax (default
+/// takes what the channel holds, up to `stage.batch`'s `max_batch` (default
 /// Batched(256)), and adds it at once: the in-memory store has no
 /// per-write lock or fsync to amortize, so no triple waits for a batch
 /// to fill.
@@ -50,7 +50,7 @@ inline void KgStoreSink(stream::Flow<rdf::Triple> flow, KnowledgeStore* store,
   });
   auto in = flow.channel();
   const size_t batch_size = std::max<size_t>(
-      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).PopMax());
+      1, stage.batch.value_or(stream::BatchPolicy::Batched(256)).max_batch);
   pipeline->AddThread([in, store, batch_size] {
     std::vector<rdf::Triple> batch;
     batch.reserve(batch_size);

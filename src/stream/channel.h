@@ -36,8 +36,8 @@ enum class PollStatus {
 /// acquisition (one per capacity chunk on the push side), which is the
 /// dominant throughput lever for the single-pass operator pipelines every
 /// datAcron component compiles down to — the full cost model (what the
-/// lock amortization buys, what batch staging costs, how the per-edge
-/// adaptive controller picks the batch size) is docs/STREAM_TUNING.md.
+/// lock amortization buys, what batch staging costs, how adaptive edges
+/// size a batch from what one pop takes) is docs/STREAM_TUNING.md.
 /// Batch transfers use notify_all wakeups: releasing k resources with a
 /// single notify_one would strand up to k-1 waiters (see
 /// ChannelTest.BatchWakeups* regressions).

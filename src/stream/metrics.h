@@ -77,23 +77,10 @@ struct StageMetrics {
   uint64_t kg_star_rows = 0;           ///< total star-join result rows
   uint64_t kg_triples_scanned = 0;     ///< postings/rows visited by RunStar
   uint64_t kg_st_filter_evaluations = 0;  ///< exact st-filter checks
-  // Adaptive-batching tuner state (BatchPolicy::Adaptive edges only; see
-  // src/stream/tuning.h and docs/STREAM_TUNING.md). `tuned` is false for
-  // static edges and all tuner_* fields stay zero.
-  bool tuned = false;                  ///< edge has a live BatchTuner
-  uint64_t tuner_target_batch = 0;     ///< current per-transfer target
-  uint64_t tuner_min_batch = 0;        ///< search range lower bound
-  uint64_t tuner_batch_cap = 0;        ///< search range upper bound
-  uint64_t tuner_samples = 0;          ///< controller samples taken
-  uint64_t tuner_adjust_up = 0;        ///< times the target was raised
-  uint64_t tuner_adjust_down = 0;      ///< times the target was lowered
-  uint64_t tuner_converged_batch = 0;  ///< stable target (0 until converged)
-  double tuner_mean_push_batch = 0.0;  ///< mean push size, last window
-  double tuner_pop_ms = 0.0;  ///< wall ms/pop, last window (-1: no pops)
   // Partition-edge breakdown (keyed-parallel stages only; empty for every
   // other edge). One nested snapshot per router→worker partition edge,
-  // each carrying its own tuner_* controller block; rendered
-  // by ToJson() as a "worker_edges" array plus the "skew_ratio" summary.
+  // rendered by ToJson() as a "worker_edges" array plus the "skew_ratio"
+  // summary.
   std::vector<StageMetrics> worker_edges;
   /// Hottest partition edge's records_in over the mean across edges
   /// (WorkerEdgeSkewRatio): 1.0 ⇒ uniform fan-out, 0 ⇒ no edges/records.
@@ -136,81 +123,53 @@ struct StageMetrics {
     return buf;
   }
 
-  /// Single JSON object (no trailing newline). Tuned edges append the
-  /// tuner_* block so every controller decision is observable downstream
-  /// (bench_micro JSON rows, tools/bench_check.py relative gates).
+  /// Single JSON object (no trailing newline). Built by appending, so
+  /// long stage names and error messages are never truncated.
   std::string ToJson() const {
-    char buf[2048];
-    int n = std::snprintf(
-        buf, sizeof(buf),
-        "{\"stage\":\"%s\",\"records_in\":%llu,\"records_out\":%llu,"
-        "\"batches_in\":%llu,\"batches_out\":%llu,"
-        "\"mean_batch_in\":%.2f,\"mean_batch_out\":%.2f,"
-        "\"queue_high_watermark\":%llu,\"capacity\":%llu,"
-        "\"producer_blocked_ns\":%llu,"
-        "\"consumer_blocked_ns\":%llu,\"push_rejected\":%llu,"
-        "\"dropped_on_cancel\":%llu,\"late_dropped\":%llu,"
-        "\"cancelled\":%s,\"bytes\":%llu,\"io_syncs\":%llu,"
-        "\"recovered\":%llu,\"truncated_bytes\":%llu,\"tuned\":%s",
-        JsonEscape(stage).c_str(),
-        static_cast<unsigned long long>(records_in),
-        static_cast<unsigned long long>(records_out),
-        static_cast<unsigned long long>(batches_in),
-        static_cast<unsigned long long>(batches_out),
-        MeanBatchIn(), MeanBatchOut(),
-        static_cast<unsigned long long>(queue_high_watermark),
-        static_cast<unsigned long long>(capacity),
-        static_cast<unsigned long long>(producer_blocked_ns),
-        static_cast<unsigned long long>(consumer_blocked_ns),
-        static_cast<unsigned long long>(push_rejected),
-        static_cast<unsigned long long>(dropped_on_cancel),
-        static_cast<unsigned long long>(late_dropped),
-        cancelled ? "true" : "false",
-        static_cast<unsigned long long>(bytes),
-        static_cast<unsigned long long>(io_syncs),
-        static_cast<unsigned long long>(recovered),
-        static_cast<unsigned long long>(truncated_bytes),
-        tuned ? "true" : "false");
-    if (kg && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"kg\":true,\"kg_triples_added\":%llu,"
-          "\"kg_star_queries\":%llu,\"kg_star_rows\":%llu,"
-          "\"kg_triples_scanned\":%llu,\"kg_st_filter_evaluations\":%llu",
-          static_cast<unsigned long long>(kg_triples_added),
-          static_cast<unsigned long long>(kg_star_queries),
-          static_cast<unsigned long long>(kg_star_rows),
-          static_cast<unsigned long long>(kg_triples_scanned),
-          static_cast<unsigned long long>(kg_st_filter_evaluations));
+    std::string out = "{\"stage\":\"" + JsonEscape(stage) + '"';
+    auto num = [&out](const char* key, uint64_t v) {
+      out += ",\"";
+      out += key;
+      out += "\":";
+      out += std::to_string(v);
+    };
+    auto real = [&out](const char* key, double v) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.2f", v);
+      out += ",\"";
+      out += key;
+      out += "\":";
+      out += buf;
+    };
+    num("records_in", records_in);
+    num("records_out", records_out);
+    num("batches_in", batches_in);
+    num("batches_out", batches_out);
+    real("mean_batch_in", MeanBatchIn());
+    real("mean_batch_out", MeanBatchOut());
+    num("queue_high_watermark", queue_high_watermark);
+    num("capacity", capacity);
+    num("producer_blocked_ns", producer_blocked_ns);
+    num("consumer_blocked_ns", consumer_blocked_ns);
+    num("push_rejected", push_rejected);
+    num("dropped_on_cancel", dropped_on_cancel);
+    num("late_dropped", late_dropped);
+    out += cancelled ? ",\"cancelled\":true" : ",\"cancelled\":false";
+    num("bytes", bytes);
+    num("io_syncs", io_syncs);
+    num("recovered", recovered);
+    num("truncated_bytes", truncated_bytes);
+    if (kg) {
+      out += ",\"kg\":true";
+      num("kg_triples_added", kg_triples_added);
+      num("kg_star_queries", kg_star_queries);
+      num("kg_star_rows", kg_star_rows);
+      num("kg_triples_scanned", kg_triples_scanned);
+      num("kg_st_filter_evaluations", kg_st_filter_evaluations);
     }
-    if (tuned && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(
-          buf + n, sizeof(buf) - n,
-          ",\"tuner_target_batch\":%llu,\"tuner_min_batch\":%llu,"
-          "\"tuner_batch_cap\":%llu,\"tuner_samples\":%llu,"
-          "\"tuner_adjust_up\":%llu,\"tuner_adjust_down\":%llu,"
-          "\"tuner_converged_batch\":%llu,"
-          "\"tuner_mean_push_batch\":%.2f,\"tuner_pop_ms\":%.3f",
-          static_cast<unsigned long long>(tuner_target_batch),
-          static_cast<unsigned long long>(tuner_min_batch),
-          static_cast<unsigned long long>(tuner_batch_cap),
-          static_cast<unsigned long long>(tuner_samples),
-          static_cast<unsigned long long>(tuner_adjust_up),
-          static_cast<unsigned long long>(tuner_adjust_down),
-          static_cast<unsigned long long>(tuner_converged_batch),
-          tuner_mean_push_batch, tuner_pop_ms);
-    }
-    if (!error.empty() && n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
-      n += std::snprintf(buf + n, sizeof(buf) - n, ",\"error\":\"%s\"",
-                         JsonEscape(error).c_str());
-    }
-    std::string out(buf,
-                    n > 0 ? std::min(static_cast<size_t>(n), sizeof(buf) - 1)
-                          : 0);
+    if (!error.empty()) out += ",\"error\":\"" + JsonEscape(error) + '"';
     if (!worker_edges.empty()) {
-      char tail[48];
-      std::snprintf(tail, sizeof(tail), ",\"skew_ratio\":%.2f", skew_ratio);
-      out += tail;
+      real("skew_ratio", skew_ratio);
       out += ",\"worker_edges\":[";
       for (size_t i = 0; i < worker_edges.size(); ++i) {
         if (i) out += ',';
@@ -226,9 +185,7 @@ struct StageMetrics {
 /// Hottest-edge load factor over a keyed stage's partition edges:
 /// max(records_in) / mean(records_in). 1.0 ⇒ perfectly uniform fan-out,
 /// K ⇒ the hottest worker saw K× the average load; 0 when there are no
-/// edges or no records yet. This is the headline number for deciding
-/// whether per-edge tuner divergence reflects key skew or noise (see
-/// stream::SummarizeWorkerEdges in tuning.h for the full breakdown).
+/// edges or no records yet.
 inline double WorkerEdgeSkewRatio(const std::vector<StageMetrics>& edges) {
   if (edges.empty()) return 0.0;
   uint64_t total = 0;
@@ -273,9 +230,7 @@ class StickyStageError {
 /// aggregate row (ShardedPipeline's merged report): counters sum, queue
 /// high-watermarks take the max (a per-queue bound, not additive),
 /// capacities sum (total buffering across shards), `cancelled` ORs, and
-/// the first non-empty error wins. Controller state (tuner_*) is per-edge
-/// and meaningless summed, so the aggregate row reports
-/// tuned=false; read the per-shard breakdown for controller detail.
+/// the first non-empty error wins.
 /// Keyed stages' nested worker_edges merge positionally — shard s's
 /// partition w and shard t's partition w are the same logical edge (same
 /// Mix64 key range), so edge w of the aggregate sums edge w of every

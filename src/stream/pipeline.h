@@ -55,33 +55,22 @@ struct StageOptions {
 /// BatchPolicy. In record-at-a-time mode it degenerates to Channel::Push.
 /// Emit/Flush return false when the downstream edge rejected the transfer
 /// (consumer cancelled) — the signal to propagate cancellation upstream.
-///
-/// When the owning edge is adaptive the emitter carries its BatchTuner:
-/// the flush threshold tracks the live tuner target instead of the static
-/// `max_batch`, and every successful flush feeds the record count back to
-/// the tuner (BatchTuner::OnRecords) — this is the producer-side hook
-/// that drives the whole controller, piggybacked on the existing emit
-/// loop with no extra threads.
+/// A full buffer flushes at the policy's cap on this edge (CapFor).
 template <typename Out>
 class BatchEmitter {
  public:
-  BatchEmitter(std::shared_ptr<Channel<Out>> out, BatchPolicy policy,
-               std::shared_ptr<BatchTuner> tuner = nullptr)
-      : out_(std::move(out)), policy_(policy), tuner_(std::move(tuner)) {
-    if (policy_.batched()) buf_.reserve(policy_.PopMax());
-  }
-
-  /// Live flush threshold: the tuner target on adaptive edges, the static
-  /// `max_batch` otherwise.
-  size_t CurrentTarget() const {
-    return tuner_ ? tuner_->target() : policy_.max_batch;
+  BatchEmitter(std::shared_ptr<Channel<Out>> out, BatchPolicy policy)
+      : out_(std::move(out)),
+        policy_(policy),
+        cap_(policy.CapFor(out_->capacity())) {
+    if (policy_.batched()) buf_.reserve(cap_);
   }
 
   bool Emit(Out value) {
     if (!policy_.batched()) return out_->Push(std::move(value));
     if (buf_.empty()) first_buffered_ = std::chrono::steady_clock::now();
     buf_.push_back(std::move(value));
-    if (buf_.size() >= CurrentTarget()) return Flush();
+    if (buf_.size() >= cap_) return Flush();
     return true;
   }
 
@@ -90,8 +79,7 @@ class BatchEmitter {
     const size_t n = buf_.size();
     const bool ok = out_->PushBatch(std::move(buf_)) == n;
     buf_.clear();
-    buf_.reserve(policy_.PopMax());
-    if (ok && tuner_) tuner_->OnRecords(n);
+    buf_.reserve(cap_);
     return ok;
   }
 
@@ -115,31 +103,12 @@ class BatchEmitter {
  private:
   std::shared_ptr<Channel<Out>> out_;
   BatchPolicy policy_;
-  std::shared_ptr<BatchTuner> tuner_;  ///< output edge's controller (or null)
+  size_t cap_;  ///< flush threshold on this edge
   std::vector<Out> buf_;
   std::chrono::steady_clock::time_point first_buffered_;
 };
 
 namespace internal {
-
-/// Creates the per-edge adaptive controller for `channel` when the policy
-/// asks for one. Returns nullptr for static edges — callers treat a null
-/// tuner as "use the static policy".
-///
-/// The tuner's range is clamped to the channel's capacity: a target
-/// above it only makes every flush wait for the consumer to drain a
-/// full queue.
-template <typename U>
-std::shared_ptr<BatchTuner> MakeTuner(BatchPolicy policy,
-                                      const std::shared_ptr<Channel<U>>& ch) {
-  if (!policy.adaptive()) return nullptr;
-  policy.max_batch_cap = std::min(policy.max_batch_cap, ch->capacity());
-  policy.min_batch = std::min(policy.min_batch, policy.max_batch_cap);
-  policy.max_batch =
-      std::clamp(policy.max_batch, policy.min_batch, policy.max_batch_cap);
-  return std::make_shared<BatchTuner>(policy,
-                                      [ch] { return ch->MetricsSnapshot(); });
-}
 
 /// The shared consume/transform/emit loop behind every 1-input operator.
 /// Drains `in` (record-at-a-time or in batches per `policy`), feeds each
@@ -151,18 +120,14 @@ std::shared_ptr<BatchTuner> MakeTuner(BatchPolicy policy,
 /// Closing the *output* channel is the caller's responsibility (shared
 /// outputs — KeyedProcessParallel — are closed by the last worker).
 ///
-/// In batched mode the loop uses the timed PopBatchFor while outputs are
-/// staged so a partially-filled batch is flushed after `max_linger_ms`
-/// even when the input goes quiet (linger < 0 disables the timer).
-///
-/// `in_tuner` is the adaptive controller of the INPUT edge (nullptr for
-/// static edges): when set, the pop size tracks the live tuner target
-/// each iteration, so a producer-side re-target propagates to this
-/// consumer within one transfer.
+/// In batched mode each pop takes what is queued, up to `max_batch`.
+/// Adaptive stages flush the outputs of a pop when it ends. Static ones
+/// use the timed PopBatchFor while outputs are staged, so a
+/// partially-filled batch is flushed after `max_linger_ms` even when the
+/// input goes quiet (linger < 0 disables the timer).
 template <typename In, typename Out, typename PerElement, typename AtExit>
 void RunStage(const std::shared_ptr<Channel<In>>& in,
               BatchEmitter<Out>& emitter, BatchPolicy policy,
-              const std::shared_ptr<BatchTuner>& in_tuner,
               PerElement&& per_element, AtExit&& at_exit) {
   bool open = true;
   if (!policy.batched()) {
@@ -174,14 +139,13 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
     }
   } else {
     std::vector<In> batch;
-    batch.reserve(policy.PopMax());
+    batch.reserve(policy.max_batch);
     while (open) {
       batch.clear();
-      const size_t want = in_tuner ? in_tuner->target() : policy.PopMax();
       size_t n = 0;
       if (emitter.has_pending() && policy.LingerEnabled()) {
-        const PollStatus status =
-            in->PopBatchFor(&batch, want, emitter.LingerRemaining(), &n);
+        const PollStatus status = in->PopBatchFor(
+            &batch, policy.max_batch, emitter.LingerRemaining(), &n);
         if (status == PollStatus::kEmpty) {
           // Linger expired with staged outputs: flush the partial batch.
           if (!emitter.Flush()) open = false;
@@ -189,7 +153,7 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
         }
         if (status == PollStatus::kClosed) break;
       } else {
-        n = in->PopBatch(&batch, want);
+        n = in->PopBatch(&batch, policy.max_batch);
         if (n == 0) break;
       }
       for (size_t i = 0; i < n; ++i) {
@@ -198,6 +162,7 @@ void RunStage(const std::shared_ptr<Channel<In>>& in,
           break;
         }
       }
+      if (open && policy.adaptive && !emitter.Flush()) open = false;
     }
   }
   if (!open) in->CloseAndDrain();  // propagate cancellation upstream
@@ -285,21 +250,13 @@ class Pipeline {
   }
 
   /// Registers a channel as the named stage's output edge. If `name` is
-  /// empty, an auto-name "<op>#<index>" is generated. When the edge is
-  /// adaptive, pass its BatchTuner so stage snapshots carry the live
-  /// controller state (StageMetrics tuner_* fields). Returns the final
+  /// empty, an auto-name "<op>#<index>" is generated. Returns the final
   /// stage name.
   template <typename U>
   std::string RegisterChannelStage(const char* op, std::string name,
-                                   std::shared_ptr<Channel<U>> channel,
-                                   std::shared_ptr<BatchTuner> tuner =
-                                       nullptr) {
+                                   std::shared_ptr<Channel<U>> channel) {
     name = ResolveStageName(op, std::move(name));
-    RegisterStage(name, [channel, tuner = std::move(tuner)] {
-      StageMetrics m = channel->MetricsSnapshot();
-      if (tuner) tuner->FillStageMetrics(&m);
-      return m;
-    });
+    RegisterStage(name, [channel] { return channel->MetricsSnapshot(); });
     return name;
   }
 
@@ -378,14 +335,14 @@ struct NoExit {
 
 /// The stage primitive behind every single-output operator (Map, FlatMap,
 /// Filter, KeyedProcess, KeyedTumblingWindow, FusedChain::Emit and the
-/// single-worker keyed path). Creates the output channel, its tuner
-/// (adaptive policies only) and the report row, then starts the stage
-/// thread. The thread default-constructs the per-stage `State` itself —
-/// keyed state maps are allocated by the thread that uses them — runs
+/// single-worker keyed path). Creates the output channel and the report
+/// row, then starts the stage thread. The thread default-constructs the
+/// per-stage `State` itself — keyed state maps are allocated by the
+/// thread that uses them — runs
 /// RunStage with `per_element(state, item, emitter) -> bool` and
 /// `at_exit(state, open, emitter)`, and closes the output on every exit
-/// path. The input edge, its tuner and the inherited policy come from
-/// `from`; defined after Flow.
+/// path. The input edge and the inherited policy come from `from`;
+/// defined after Flow.
 template <typename Out, typename State = NoState, typename In,
           typename PerElement, typename AtExit = NoExit>
 Flow<Out> BuildStage(const Flow<In>& from, const char* op, StageOptions opts,
@@ -472,12 +429,9 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
 /// BatchPolicy that governs how operators built from it move elements —
 /// `WithBatching(BatchPolicy::Batched(64))` switches every downstream
 /// stage to amortized batch transfers, and
-/// `WithBatching(BatchPolicy::Adaptive())` gives every downstream edge
-/// its own self-tuning BatchTuner (the policy is inherited by the Flows
-/// those operators return, so one call at the source configures the
-/// whole graph). Adaptive handles additionally carry the tuner of the
-/// edge they reference, so the consumer an operator builds pops at the
-/// live target the edge's producer is flushing at.
+/// `WithBatching(BatchPolicy::Adaptive())` to pop-sized ones (the policy
+/// is inherited by the Flows those operators return, so one call at the
+/// source configures the whole graph).
 ///
 /// Shutdown contract for every operator: when the downstream edge stops
 /// accepting (Push returns false because the consumer cancelled), the
@@ -486,54 +440,38 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
 /// operator Close()s its output on every exit path, so downstream stages
 /// always observe end-of-stream. Cancellation mid-batch behaves exactly
 /// like cancellation mid-stream: staged elements are dropped, the signal
-/// is never lost (see BatchShutdownTest). Adaptive re-targeting never
-/// changes these semantics — only transfer granularity (proved by the
-/// adaptive arm of tests/stream_batch_equiv_test.cc).
+/// is never lost (see BatchShutdownTest). Batch boundaries never change
+/// these semantics — only transfer granularity (proved by
+/// tests/stream_batch_equiv_test.cc).
 template <typename T>
 class Flow {
  public:
   Flow(Pipeline* pipeline, std::shared_ptr<Channel<T>> channel,
-       BatchPolicy policy = {}, std::shared_ptr<BatchTuner> tuner = nullptr)
-      : pipeline_(pipeline),
-        channel_(std::move(channel)),
-        policy_(policy),
-        tuner_(std::move(tuner)) {}
+       BatchPolicy policy = {})
+      : pipeline_(pipeline), channel_(std::move(channel)), policy_(policy) {}
 
   /// Returns a handle to the same edge whose downstream operators use
   /// `policy` for channel transfers. Semantics are unchanged — only the
   /// transfer granularity (and therefore lock amortization) differs.
-  /// Switching an adaptive edge to a static policy detaches the tuner
-  /// from the returned handle (the consumer then pops at the static
-  /// `max_batch`).
   Flow<T> WithBatching(BatchPolicy policy) const {
-    return Flow<T>(pipeline_, channel_, policy,
-                   policy.adaptive() ? tuner_ : nullptr);
+    return Flow<T>(pipeline_, channel_, policy);
   }
 
   const BatchPolicy& batch_policy() const { return policy_; }
 
-  /// The adaptive controller of this edge (nullptr on static edges).
-  /// Owned by the edge's producer; exposed for consumers, stage helpers
-  /// and tests that want the live target or a TunerState snapshot.
-  const std::shared_ptr<BatchTuner>& tuner() const { return tuner_; }
-
   /// Source from a pull function; the function returns nullopt when the
   /// stream is exhausted. With a batched policy the generator stages up
-  /// to the batch target (bounded by the linger) per transfer; with an
-  /// adaptive policy the staging threshold tracks the edge's BatchTuner
-  /// target. Default policy when `opts.batch` is unset: record-at-a-time
+  /// to the edge's cap (CapFor), bounded by the linger, per transfer.
+  /// Default policy when `opts.batch` is unset: record-at-a-time
   /// (Single).
   static Flow<T> FromGenerator(Pipeline* pipeline,
                                std::function<std::optional<T>()> next,
                                StageOptions opts = {}) {
     const BatchPolicy policy = opts.EffectivePolicy(BatchPolicy{});
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
-    auto tuner = internal::MakeTuner(policy, channel);
-    pipeline->RegisterChannelStage("source", std::move(opts.name), channel,
-                                   tuner);
-    pipeline->AddThread([channel, policy, tuner,
-                         next = std::move(next)]() mutable {
-      BatchEmitter<T> emitter(channel, policy, tuner);
+    pipeline->RegisterChannelStage("source", std::move(opts.name), channel);
+    pipeline->AddThread([channel, policy, next = std::move(next)]() mutable {
+      BatchEmitter<T> emitter(channel, policy);
       while (true) {
         std::optional<T> item = next();
         if (!item.has_value()) break;
@@ -547,13 +485,13 @@ class Flow {
       emitter.Flush();
       channel->Close();
     });
-    return Flow<T>(pipeline, std::move(channel), policy, std::move(tuner));
+    return Flow<T>(pipeline, std::move(channel), policy);
   }
 
   /// Source from a batch pull function: `next_batch(out, max_n)` appends
   /// up to `max_n` elements to `out` and returns how many it appended
-  /// (0 = end of stream). The per-call `max_n` is the edge's live batch
-  /// target, so batch-oriented producers (e.g. mlog's segment-aware
+  /// (0 = end of stream). The per-call `max_n` is the edge's batch cap
+  /// (CapFor), so batch-oriented producers (e.g. mlog's segment-aware
   /// replay, mlog::Cursor::NextBatch) decode exactly one channel
   /// transfer's worth of records per call — source-side amortization
   /// matched to transport amortization. Prefer this over FromGenerator
@@ -565,28 +503,24 @@ class Flow {
       StageOptions opts = {}) {
     const BatchPolicy policy = opts.EffectivePolicy(BatchPolicy::Batched());
     auto channel = std::make_shared<Channel<T>>(opts.capacity);
-    auto tuner = internal::MakeTuner(policy, channel);
-    pipeline->RegisterChannelStage("source", std::move(opts.name), channel,
-                                   tuner);
-    pipeline->AddThread(
-        [channel, policy, tuner, next_batch = std::move(next_batch)] {
-          std::vector<T> buf;
-          buf.reserve(policy.PopMax());
-          while (true) {
-            buf.clear();
-            const size_t want = std::max<size_t>(
-                1, tuner ? tuner->target() : policy.max_batch);
-            const size_t n = next_batch(&buf, want);
-            if (n == 0) break;
-            // PushBatch accepting fewer than offered means the consumer
-            // cancelled: stop generating.
-            if (channel->PushBatch(std::move(buf)) != n) break;
-            buf.reserve(policy.PopMax());
-            if (tuner) tuner->OnRecords(n);
-          }
-          channel->Close();
-        });
-    return Flow<T>(pipeline, std::move(channel), policy, std::move(tuner));
+    pipeline->RegisterChannelStage("source", std::move(opts.name), channel);
+    const size_t want =
+        std::max<size_t>(1, policy.CapFor(channel->capacity()));
+    pipeline->AddThread([channel, want, next_batch = std::move(next_batch)] {
+      std::vector<T> buf;
+      buf.reserve(want);
+      while (true) {
+        buf.clear();
+        const size_t n = next_batch(&buf, want);
+        if (n == 0) break;
+        // PushBatch accepting fewer than offered means the consumer
+        // cancelled: stop generating.
+        if (channel->PushBatch(std::move(buf)) != n) break;
+        buf.reserve(want);
+      }
+      channel->Close();
+    });
+    return Flow<T>(pipeline, std::move(channel), policy);
   }
 
   /// Source from a pre-materialized vector.
@@ -668,11 +602,9 @@ class Flow {
   /// range (the Flink keyed-stream execution model). Output order across
   /// workers is nondeterministic; per-key order is preserved.
   ///
-  /// Each router→worker partition edge carries its own BatchTuner
-  /// (adaptive policies only): a hot partition re-targets its own edge
-  /// without moving the cold ones, and the per-edge controller state
-  /// surfaces as `worker_edges` (plus `skew_ratio`) on this stage's row
-  /// in Report()/ReportJson() — see docs/STREAM_TUNING.md §5.
+  /// Each router→worker partition edge surfaces as one of `worker_edges`
+  /// (plus `skew_ratio`) on this stage's row in Report()/ReportJson() —
+  /// see docs/STREAM_TUNING.md §5.
   template <typename Out, typename State>
   Flow<Out> KeyedProcessParallel(std::function<uint64_t(const T&)> key_fn,
                                  KeyedProcessFn<T, Out, State> process,
@@ -752,14 +684,13 @@ class Flow {
   /// Terminal: applies `fn` until it returns false, then cancels the
   /// stream — upstream stages unblock and exit (no deadlock even with
   /// producers mid-Push). The early-stopping sink. Under batching it pops
-  /// amortized transfers (at the live tuner target on adaptive edges);
-  /// elements already popped in the cancelling batch are dropped — the
-  /// same fate queued elements meet under CloseAndDrain.
+  /// amortized transfers; elements already popped in the cancelling
+  /// batch are dropped — the same fate queued elements meet under
+  /// CloseAndDrain.
   void SinkWhile(std::function<bool(const T&)> fn, StageOptions opts = {}) {
     const BatchPolicy policy = opts.EffectivePolicy(policy_);
     auto in = channel_;
-    auto in_tuner = policy.adaptive() ? tuner_ : nullptr;
-    pipeline_->AddThread([in, policy, in_tuner, fn = std::move(fn)] {
+    pipeline_->AddThread([in, policy, fn = std::move(fn)] {
       if (!policy.batched()) {
         while (auto item = in->Pop()) {
           if (!fn(*item)) {
@@ -770,12 +701,11 @@ class Flow {
         return;
       }
       std::vector<T> batch;
-      batch.reserve(policy.PopMax());
+      batch.reserve(policy.max_batch);
       bool open = true;
       while (open) {
         batch.clear();
-        const size_t want = in_tuner ? in_tuner->target() : policy.PopMax();
-        const size_t n = in->PopBatch(&batch, want);
+        const size_t n = in->PopBatch(&batch, policy.max_batch);
         if (n == 0) break;
         for (size_t i = 0; i < n; ++i) {
           if (!fn(batch[i])) {
@@ -805,7 +735,6 @@ class Flow {
   Pipeline* pipeline_;
   std::shared_ptr<Channel<T>> channel_;
   BatchPolicy policy_;
-  std::shared_ptr<BatchTuner> tuner_;  ///< this edge's controller (or null)
 };
 
 namespace internal {
@@ -817,24 +746,21 @@ Flow<Out> BuildStage(const Flow<In>& from, const char* op, StageOptions opts,
   Pipeline* pipeline = from.pipeline();
   const BatchPolicy policy = opts.EffectivePolicy(from.batch_policy());
   auto out = std::make_shared<Channel<Out>>(opts.capacity);
-  auto out_tuner = MakeTuner(policy, out);
-  pipeline->RegisterChannelStage(op, std::move(opts.name), out, out_tuner);
+  pipeline->RegisterChannelStage(op, std::move(opts.name), out);
   auto in = from.channel();
-  auto in_tuner = policy.adaptive() ? from.tuner() : nullptr;
-  pipeline->AddThread([in, out, policy, in_tuner, out_tuner,
-                       per_element = std::move(per_element),
+  pipeline->AddThread([in, out, policy, per_element = std::move(per_element),
                        at_exit = std::move(at_exit)] {
-    BatchEmitter<Out> emitter(out, policy, out_tuner);
+    BatchEmitter<Out> emitter(out, policy);
     State state;
     RunStage(
-        in, emitter, policy, in_tuner,
+        in, emitter, policy,
         [&](In& item, BatchEmitter<Out>& em) {
           return per_element(state, item, em);
         },
         [&](bool open, BatchEmitter<Out>& em) { at_exit(state, open, em); });
     out->Close();
   });
-  return Flow<Out>(pipeline, std::move(out), policy, std::move(out_tuner));
+  return Flow<Out>(pipeline, std::move(out), policy);
 }
 
 /// Keyed-parallel construction (see the declaration above Flow). The
@@ -843,23 +769,10 @@ Flow<Out> BuildStage(const Flow<In>& from, const char* op, StageOptions opts,
 /// into the per-worker partition edges — zero channels between the
 /// upstream edge and the keyed boundary.
 ///
-/// Partition-edge tuning: every router→worker edge gets its own
-/// BatchTuner (adaptive policies only). The router drives each edge's
-/// controller with the records it scatters there and each worker pops at
-/// its own edge's live target, so a hot partition's back-off (slow
-/// per-pop windows on a loaded worker) stays on its own edge while the
-/// starvation gate (kTunerBackoffMaxStarvedFraction) keeps the
-/// arrival-limited cold edges from shrinking in sympathy. The per-edge
-/// snapshots nest under the stage's report row as `worker_edges` (with
-/// `skew_ratio`); aggregate them with SummarizeWorkerEdges.
-///
-/// Router-input edge: the router's pop size is governed by its own
-/// controller over the upstream channel, seeded from the upstream
-/// tuner's live target — NOT by the upstream producer's tuner. The fused
-/// prefix runs inside the router, so per-pop cost is no longer what the
-/// upstream controller measured; sharing that controller would let the
-/// router's consumption profile re-target the producer's flush size.
-/// Registered as "<stage>.router_in" on adaptive policies.
+/// Partition edges: the router scatters each pop into one batch per
+/// worker and pushes them when the pop ends, and each worker is an
+/// ordinary RunStage over its own edge. The per-edge snapshots nest under
+/// the stage's report row as `worker_edges` (with `skew_ratio`).
 template <typename In, typename T, typename Out, typename State>
 Flow<Out> KeyedParallelStage(const Flow<In>& from,
                              KeyedLogic<In, T, Out, State> logic,
@@ -874,59 +787,30 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
   const BatchPolicy policy = opts.EffectivePolicy(from.batch_policy());
   auto in = from.channel();
   auto out = std::make_shared<Channel<Out>>(opts.capacity);
-  // One tuner for the shared output edge: all workers flush at the same
-  // live target and feed the same controller (OnRecords is thread-safe).
-  auto out_tuner = MakeTuner(policy, out);
   const std::string stage = pipeline->ResolveStageName(op, std::move(opts.name));
 
-  // Partition router: one input channel per worker, each edge with its
-  // own adaptive controller.
+  // Partition router: one input channel per worker.
   auto partitions =
       std::make_shared<std::vector<std::shared_ptr<Channel<T>>>>();
-  auto part_tuners =
-      std::make_shared<std::vector<std::shared_ptr<BatchTuner>>>();
   for (size_t w = 0; w < parallelism; ++w) {
-    auto part = std::make_shared<Channel<T>>(opts.capacity);
-    part_tuners->push_back(MakeTuner(policy, part));
-    partitions->push_back(std::move(part));
+    partitions->push_back(std::make_shared<Channel<T>>(opts.capacity));
   }
   // One report row for the whole stage: the shared output edge plus the
   // per-partition edges nested as worker_edges.
-  pipeline->RegisterStage(
-      stage, [out, out_tuner, partitions, part_tuners, stage] {
-        StageMetrics m = out->MetricsSnapshot();
-        if (out_tuner) out_tuner->FillStageMetrics(&m);
-        m.worker_edges.reserve(partitions->size());
-        for (size_t w = 0; w < partitions->size(); ++w) {
-          StageMetrics e = (*partitions)[w]->MetricsSnapshot();
-          e.stage = stage + ".part" + std::to_string(w);
-          if ((*part_tuners)[w]) (*part_tuners)[w]->FillStageMetrics(&e);
-          m.worker_edges.push_back(std::move(e));
-        }
-        m.skew_ratio = WorkerEdgeSkewRatio(m.worker_edges);
-        return m;
-      });
-
-  // The router's own input controller (see the doc comment above).
-  std::shared_ptr<BatchTuner> router_in_tuner;
-  if (policy.adaptive()) {
-    BatchPolicy seeded = policy;
-    if (from.tuner()) {
-      seeded.max_batch = std::clamp(from.tuner()->target(), policy.min_batch,
-                                    policy.max_batch_cap);
+  pipeline->RegisterStage(stage, [out, partitions, stage] {
+    StageMetrics m = out->MetricsSnapshot();
+    m.worker_edges.reserve(partitions->size());
+    for (size_t w = 0; w < partitions->size(); ++w) {
+      StageMetrics e = (*partitions)[w]->MetricsSnapshot();
+      e.stage = stage + ".part" + std::to_string(w);
+      m.worker_edges.push_back(std::move(e));
     }
-    router_in_tuner = std::make_shared<BatchTuner>(
-        seeded, [in] { return in->MetricsSnapshot(); });
-    pipeline->RegisterStage(stage + ".router_in", [in, router_in_tuner] {
-      StageMetrics m = in->MetricsSnapshot();
-      router_in_tuner->FillStageMetrics(&m);
-      return m;
-    });
-  }
+    m.skew_ratio = WorkerEdgeSkewRatio(m.worker_edges);
+    return m;
+  });
 
-  pipeline->AddThread([in, partitions, part_tuners, parallelism, policy,
-                       router_in_tuner, key_fn = logic.key_fn,
-                       prefix = logic.prefix] {
+  pipeline->AddThread([in, partitions, parallelism, policy,
+                       key_fn = logic.key_fn, prefix = logic.prefix] {
     // Route through the Mix64 finalizer, not std::hash: libstdc++'s
     // identity hash would fold structured keys (vessel IDs stepping by
     // a multiple of `parallelism`) onto a single worker.
@@ -959,7 +843,7 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
       // between the pop and the scatter.
       std::vector<In> batch;
       std::vector<std::vector<T>> scatter(parallelism);
-      batch.reserve(policy.PopMax());
+      batch.reserve(policy.max_batch);
       bool open = true;
       auto stage_elem = [&](T&& t) {
         scatter[HashPartition(key_fn(t), parallelism)].push_back(
@@ -967,9 +851,7 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
       };
       while (open) {
         batch.clear();
-        const size_t want =
-            router_in_tuner ? router_in_tuner->target() : policy.PopMax();
-        const size_t n = in->PopBatch(&batch, want);
+        const size_t n = in->PopBatch(&batch, policy.max_batch);
         if (n == 0) break;
         for (size_t i = 0; i < n; ++i) {
           if constexpr (std::is_same_v<In, T>) {
@@ -980,15 +862,11 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
           }
           prefix(std::move(batch[i]), stage_elem);
         }
-        if (router_in_tuner) router_in_tuner->OnRecords(n);
         for (size_t w = 0; w < parallelism && open; ++w) {
           if (scatter[w].empty()) continue;
           const size_t offered = scatter[w].size();
-          if ((*partitions)[w]->PushBatch(std::move(scatter[w])) !=
-              offered) {
+          if ((*partitions)[w]->PushBatch(std::move(scatter[w])) != offered) {
             open = false;
-          } else if ((*part_tuners)[w]) {
-            (*part_tuners)[w]->OnRecords(offered);
           }
           scatter[w].clear();
         }
@@ -999,20 +877,18 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
   });
 
   // Workers share the output channel; the last one to finish closes it.
-  // Each worker pops its partition at that edge's own live target and
-  // runs its own copy of the keyed state machine (no prefix: the router
-  // already ran it).
+  // Each worker runs its own copy of the keyed state machine (no prefix:
+  // the router already ran it).
   const KeyedLogic<T, T, Out, State> worker{nullptr, logic.key_fn,
                                             logic.process, logic.flush};
   auto live_workers = std::make_shared<std::atomic<size_t>>(parallelism);
   for (size_t w = 0; w < parallelism; ++w) {
-    pipeline->AddThread([my_in = (*partitions)[w],
-                         my_tuner = (*part_tuners)[w], out, out_tuner,
-                         worker, live_workers, policy] {
-      BatchEmitter<Out> emitter(out, policy, out_tuner);
+    pipeline->AddThread([my_in = (*partitions)[w], out, worker, live_workers,
+                         policy] {
+      BatchEmitter<Out> emitter(out, policy);
       typename KeyedLogic<T, T, Out, State>::States states;
       RunStage(
-          my_in, emitter, policy, my_tuner,
+          my_in, emitter, policy,
           [&](T& item, BatchEmitter<Out>& em) {
             return worker.Step(states, item, em);
           },
@@ -1022,7 +898,7 @@ Flow<Out> KeyedParallelStage(const Flow<In>& from,
       if (live_workers->fetch_sub(1) == 1) out->Close();
     });
   }
-  return Flow<Out>(pipeline, std::move(out), policy, std::move(out_tuner));
+  return Flow<Out>(pipeline, std::move(out), policy);
 }
 
 }  // namespace internal

@@ -17,12 +17,12 @@ namespace tcmf::synopses {
 /// Stage configuration follows the unified `(flow, config, StageOptions,
 /// ...)` helper signature: `stage.name` defaults to "synopses" and
 /// `stage.batch` to the adaptive batched transport — input, partition
-/// and output edges all move amortized batch transfers. With
-/// parallelism > 1 every router→worker partition edge carries its own
-/// BatchTuner, surfaced as the stage row's `worker_edges` (with
-/// `skew_ratio`) in ReportJson (pass `.batch = BatchPolicy::Batched(n)`
-/// for a pinned static size, `BatchPolicy::Single()` for
-/// record-at-a-time; see docs/STREAM_TUNING.md).
+/// and output edges all move what one pop takes. With parallelism > 1
+/// every router→worker partition edge is surfaced as one of the stage
+/// row's `worker_edges` (with `skew_ratio`) in ReportJson (pass
+/// `.batch = BatchPolicy::Batched(n)` for a pinned static size,
+/// `BatchPolicy::Single()` for record-at-a-time; see
+/// docs/STREAM_TUNING.md).
 namespace internal {
 
 struct SynopsesState {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -1039,6 +1040,70 @@ TEST(MlogPartitionedTest, KeyedRoutingPreservesPerKeyOrder) {
     }
   }
   EXPECT_EQ(total, 400u);
+}
+
+// Source for the append-latency tests: offers three records, then holds
+// the stream open until `appended()` reaches 3 (bounded at 2 s) and
+// records in `*reached` whether it got there before the end of stream.
+stream::Flow<stream::Record> ThreeRecordsThenWait(
+    stream::Pipeline* pipeline, std::function<uint64_t()> appended,
+    bool* reached) {
+  auto offered = std::make_shared<bool>(false);
+  return stream::Flow<stream::Record>::FromBatchGenerator(
+      pipeline,
+      [offered, appended = std::move(appended), reached](
+          std::vector<stream::Record>* out, size_t) -> size_t {
+        if (!*offered) {
+          *offered = true;
+          for (int i = 0; i < 3; ++i) out->push_back(MakeRecord(i));
+          return 3;
+        }
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (appended() < 3 && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        *reached = appended() >= 3;
+        return 0;
+      });
+}
+
+TEST(MlogStagesIntegrationTest, LogSinkAppendsEachPop) {
+  // Three records on a live stream are appended (and so visible to
+  // tailing cursors) without waiting for a 256-record batch or EOS.
+  LogOptions opt;
+  opt.dir = TestDir("sink_each_pop");
+  auto log = MustOpen(opt);
+  bool reached = false;
+  stream::Pipeline p;
+  Log* raw = log.get();
+  LogSink(ThreeRecordsThenWait(
+              &p, [raw] { return raw->next_offset(); }, &reached),
+          raw);
+  p.Run();
+  EXPECT_TRUE(reached) << "LogSink held 3 records until end of stream";
+  EXPECT_EQ(log->next_offset(), 3u);
+}
+
+TEST(MlogStagesIntegrationTest, PartitionedLogSinkAppendsEachPop) {
+  PartitionedLogOptions po;
+  po.dir = TestDir("psink_each_pop");
+  po.partitions = 2;
+  auto topic = MustOpenTopic(po);
+  bool reached = false;
+  stream::Pipeline p;
+  PartitionedLog* raw = topic.get();
+  PartitionedLogSink(
+      ThreeRecordsThenWait(
+          &p, [raw] { return raw->next_offset_total(); }, &reached),
+      raw,
+      [](const stream::Record& r) {
+        return static_cast<uint64_t>(r.GetInt("seq").value());
+      });
+  p.Run();
+  EXPECT_TRUE(reached)
+      << "PartitionedLogSink held 3 records until end of stream";
+  EXPECT_EQ(topic->next_offset_total(), 3u);
 }
 
 TEST(MlogPartitionedTest, ReopenInfersPartitionCountAndRejectsMismatch) {

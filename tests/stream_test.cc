@@ -896,7 +896,8 @@ TEST(PipelineMetricsTest, ReportJsonContractForReportConsumers) {
   // Pins what external report readers (perfbench/run.py) take from
   // ReportJson: every stage row carries the transport fields, keyed-
   // parallel rows add skew_ratio and worker_edges, auto names keep their
-  // "<op>#<index>" spelling, and no capacity-controller keys remain.
+  // "<op>#<index>" spelling, and no capacity- or batch-controller keys
+  // remain.
   using Pair = std::pair<uint64_t, int>;
   using Window = std::pair<uint64_t, TumblingWindower<Pair, int>::WindowResult>;
   auto key = [](const Pair& p) { return p.first; };
@@ -950,6 +951,25 @@ TEST(PipelineMetricsTest, ReportJsonContractForReportConsumers) {
   }
   EXPECT_EQ(report[3].worker_edges.size(), 2u);
   EXPECT_EQ(pipeline.ReportJson().find("\"capacity_"), std::string::npos);
+  EXPECT_EQ(pipeline.ReportJson().find("\"tuner_"), std::string::npos);
+}
+
+TEST(PipelineMetricsTest, ToJsonKeepsLongNamesAndErrorsWhole) {
+  // A long error (an mlog IoError carrying a long segment path) must not
+  // be cut off mid-string: the row stays valid JSON.
+  StageMetrics m;
+  for (int i = 0; m.stage.size() < 3072; ++i) {
+    m.stage += "stage\"" + std::to_string(i) + '\\';
+  }
+  m.error = "IoError: open failed: ";
+  while (m.error.size() < 3072) m.error += "/segments/p0/00000000.mseg\n";
+  const std::string json = m.ToJson();
+  EXPECT_NE(json.find("{\"stage\":\"" + JsonEscape(m.stage) + "\","),
+            std::string::npos);
+  EXPECT_NE(json.find(",\"error\":\"" + JsonEscape(m.error) + "\""),
+            std::string::npos);
+  ASSERT_GE(json.size(), 2u);
+  EXPECT_EQ(json.substr(json.size() - 2), "\"}");
 }
 
 // -------------------------------------- Pipeline: keyed tumbling windows

@@ -23,19 +23,10 @@ comparison; the google-benchmark suite is skipped), loads the
    - ``pipeline/fused_batched64  / pipeline/batched64``
    - ``pipeline/adaptive         / best static pipeline row``
 
-3. **Tuner-state gates** — read from the per-row tuner fields that
-   bench_micro copies out of the adaptive source edge
-   (``stream::BatchTuner::Snapshot``, the same state ``ReportJson``
-   publishes as ``tuner_*``):
-
-   - ``pipeline/adaptive`` must actually have tuned (samples > 0,
-     adjust_up > 0, target within [min_batch, batch_cap]) and reach at
-     least ``--min-adaptive-ratio`` of the best static max_batch row
-     from the same run (default 0.85; measured ~0.92 on an idle
-     machine — see docs/STREAM_TUNING.md).
-   - ``pipeline/adaptive_slow_phase`` must record back-off
-     (adjust_down > 0): the consumer turns slow halfway through and a
-     controller that never shrinks its target is broken.
+3. **Adaptive gate** — ``pipeline/adaptive`` (pop-sized batching:
+   every stage flushes what one pop produced) must reach at least
+   ``--min-adaptive-ratio`` of the best static max_batch row from the
+   same run (default 0.85 — see docs/STREAM_TUNING.md).
 
 4. **Linger gates** — the staging-delay rows (``pipeline_latency/*``,
    a trickling source against a large max_batch so flush timing
@@ -153,14 +144,10 @@ measurement: the channel-transfer row at batch 64 must be at least
       ``--min-keyed-fusion-ratio`` (default 1.3; measured ~1.8 — the
       hop carries 4x the records at 6x the width). Relaxed to a
       no-collapse bound (>= 1.05) below 4 hardware threads;
-    - ``keyed_fusion/adaptive_skewed`` (80% of the stream on one hot
-      key, ~20us/record at its worker) must show the hot partition
-      edge backing off its own batch target (``hot_adjust_down > 0``)
-      while — given >= 4 hardware threads — the starved cold edges
-      hold theirs (``cold_adjust_down == 0``: the starvation gate in
-      BatchPolicy keeps arrival-limited slowness from shrinking them);
-    - the skewed arm's ``skew_ratio`` must exceed the uniform arm's
-      (the per-edge records_in actually resolve the imbalance).
+    - the ``skew_ratio`` of ``keyed_fusion/adaptive_skewed`` (80% of
+      the stream on one hot key, ~20us/record at its worker) must
+      exceed that of ``keyed_fusion/adaptive_uniform`` (the per-edge
+      records_in actually resolve the imbalance).
 
 Exit status is non-zero on any failure, so it can gate CI.
 
@@ -196,8 +183,8 @@ import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# Rows that form the static max_batch sweep the adaptive controller is
-# compared against (the "best static" in gate 3).
+# Rows that form the static max_batch sweep the adaptive row is compared
+# against (the "best static" in gate 3).
 STATIC_SWEEP = [
     "pipeline/record_at_a_time",
     "pipeline/batched16",
@@ -277,40 +264,18 @@ def check_relative(measured, baseline, ratio_tolerance, failures):
         print(f"{label:<50} {got:>8.2f}x {base:>8.2f}x{verdict}")
 
 
-def check_tuner(measured, min_adaptive_ratio, failures):
+def check_adaptive(measured, min_adaptive_ratio, failures):
     adaptive = measured.get("pipeline/adaptive")
     if not adaptive:
         failures.append("pipeline/adaptive row missing")
         return
-    if "tuner_target_batch" not in adaptive:
-        failures.append("pipeline/adaptive has no tuner_* fields — the "
-                        "adaptive source edge lost its BatchTuner")
-        return
-
-    target = adaptive["tuner_target_batch"]
-    lo = adaptive["tuner_min_batch"]
-    hi = adaptive["tuner_batch_cap"]
-    print(f"\nadaptive tuner: target={target} range=[{lo},{hi}] "
-          f"samples={adaptive['tuner_samples']} "
-          f"up={adaptive['tuner_adjust_up']} "
-          f"down={adaptive['tuner_adjust_down']} "
-          f"converged={adaptive['tuner_converged_batch']}")
-    if not lo <= target <= hi:
-        failures.append(
-            f"adaptive target {target} escaped [{lo}, {hi}]")
-    if adaptive["tuner_samples"] == 0:
-        failures.append("adaptive tuner took no samples")
-    if adaptive["tuner_adjust_up"] == 0:
-        failures.append("adaptive tuner never grew its target under "
-                        "steady load (adjust_up == 0)")
-
     best_static = max(
         (measured[n]["records_per_s"] for n in STATIC_SWEEP if n in measured),
         default=0.0)
     if best_static > 0:
         ratio = adaptive["records_per_s"] / best_static
         ok = ratio >= min_adaptive_ratio
-        print(f"adaptive vs best static sweep row: {ratio:.2f}x "
+        print(f"\nadaptive vs best static sweep row: {ratio:.2f}x "
               f"(required >= {min_adaptive_ratio:g}x)"
               f"{'' if ok else '  << FAIL'}")
         if not ok:
@@ -319,20 +284,6 @@ def check_tuner(measured, min_adaptive_ratio, failures):
                 f"{min_adaptive_ratio:g}x")
     else:
         failures.append("static sweep rows missing; cannot rate adaptive")
-
-    slow = measured.get("pipeline/adaptive_slow_phase")
-    if not slow or "tuner_adjust_down" not in slow:
-        failures.append("pipeline/adaptive_slow_phase tuner row missing")
-    else:
-        down = slow["tuner_adjust_down"]
-        ok = down > 0
-        print(f"slow-phase back-off: adjust_down={down} "
-              f"target={slow['tuner_target_batch']}"
-              f"{'' if ok else '  << FAIL'}")
-        if not ok:
-            failures.append(
-                "adaptive_slow_phase recorded no back-off adjustments — "
-                "the controller ignored the slow consumer")
 
 
 def check_latency(measured, budget_tolerance, failures):
@@ -369,7 +320,7 @@ def check_latency(measured, budget_tolerance, failures):
 
 
 def check_keyed_fusion(measured, min_keyed_fusion_ratio, failures):
-    """Gates the keyed-terminal fusion + skew-aware tuning rows (gate
+    """Gates the keyed-terminal fusion + partition-edge skew rows (gate
     10; part of the micro suite)."""
     two_hop = measured.get("keyed_fusion/two_hop")
     fused = measured.get("keyed_fusion/fused_keyed")
@@ -393,27 +344,9 @@ def check_keyed_fusion(measured, min_keyed_fusion_ratio, failures):
 
     skewed = measured.get("keyed_fusion/adaptive_skewed")
     uniform = measured.get("keyed_fusion/adaptive_uniform")
-    if not skewed or "hot_adjust_down" not in skewed:
-        failures.append("keyed_fusion/adaptive_skewed skew fields missing "
-                        "— the keyed stage lost its per-edge tuners")
-        return
-    hot = skewed["hot_adjust_down"]
-    cold = skewed["cold_adjust_down"]
-    print(f"skewed arm: skew_ratio={skewed['skew_ratio']:.2f} "
-          f"hot_adjust_down={hot} cold_adjust_down={cold} "
-          f"targets=[{skewed['min_target']},{skewed['max_target']}]")
-    if skewed.get("hot_edges", 0) < 1:
-        failures.append("skewed arm classified no hot partition edge")
-    if hot == 0:
-        failures.append(
-            "hot partition edge recorded no back-off under a ~1.3ms/pop "
-            "workload — per-edge tuning is not reacting to skew")
-    if hw >= 4 and cold != 0:
-        failures.append(
-            f"cold partition edges backed off {cold} times in sympathy "
-            f"with the hot edge — the starvation gate is not holding "
-            f"them (hw_threads={hw})")
-    if not uniform or "skew_ratio" not in uniform:
+    if not skewed or "skew_ratio" not in skewed:
+        failures.append("keyed_fusion/adaptive_skewed skew row missing")
+    elif not uniform or "skew_ratio" not in uniform:
         failures.append("keyed_fusion/adaptive_uniform skew row missing")
     else:
         ok = skewed["skew_ratio"] > uniform["skew_ratio"]
@@ -889,7 +822,7 @@ def main():
         baseline = load_rows(args.baseline)
         check_absolute(measured, baseline, args.tolerance, failures)
         check_relative(measured, baseline, args.ratio_tolerance, failures)
-        check_tuner(measured, args.min_adaptive_ratio, failures)
+        check_adaptive(measured, args.min_adaptive_ratio, failures)
         check_latency(measured, args.budget_tolerance, failures)
         check_keyed_fusion(measured, args.min_keyed_fusion_ratio, failures)
 
